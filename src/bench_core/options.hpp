@@ -1,5 +1,5 @@
-// One strict command-line option parser shared by every bench binary
-// (the unified runner and the per-figure shims). Replaces the ad-hoc
+// One strict command-line option parser shared by the command-line tools
+// (mpciot-bench, the rt node and coordinator). Replaces the ad-hoc
 // strtoul loops that silently parsed "abc" as 0: unknown options,
 // missing values, and malformed or out-of-range numerics are all hard
 // errors with a usage line.

@@ -1,5 +1,4 @@
-// Hex encoding/decoding helpers, used by crypto tests (FIPS/RFC vectors)
-// and by debug logging.
+// Hex encoding/decoding helpers, used by crypto tests (FIPS/RFC vectors).
 #pragma once
 
 #include <cstdint>

@@ -74,8 +74,9 @@ class Campaign {
 
   /// Stream config.rounds rounds. `fill(round, secrets)` writes round
   /// r's secrets into the campaign-owned buffer (pre-sized to the
-  /// session's secret_count) before the round runs. Returns the
-  /// campaign metrics (valid until the next run on this campaign).
+  /// session's secret_count) before the round runs. The first round is
+  /// submitted at time 0 of the trial clock. Returns the campaign
+  /// metrics (valid until the next run on this campaign).
   const CampaignResult& run(
       sim::Simulator& sim,
       const std::function<void(std::uint32_t, std::vector<field::Fp61>&)>&

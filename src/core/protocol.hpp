@@ -8,7 +8,9 @@
 //   2. reconstruction — MiniCast round over the holder chain, carrying
 //                 plaintext SumPackets.
 // Aggregates are then reconstructed per node from whatever sums that node
-// decoded, exactly as a deployed node would.
+// decoded, exactly as a deployed node would: holders accumulate through
+// core::roles::HolderRole and every node reconstructs through
+// core::roles::AggregatorRole, the round kernel the rt runtime runs too.
 //
 // S3 and S4 differ only in configuration:
 //            holders            NTX                 radio policy
@@ -26,6 +28,7 @@
 
 #include "common/types.hpp"
 #include "core/adversary.hpp"
+#include "core/roles.hpp"
 #include "core/shamir.hpp"
 #include "crypto/feldman.hpp"
 #include "crypto/keystore.hpp"
@@ -47,10 +50,8 @@ class HierarchicalProtocol;
 /// instances are constructed once and shared across (possibly
 /// concurrent) trials, so everything that varies per trial rides here:
 /// where the round sits on the trial clock, the trial's time-varying
-/// channel model, and its crash/recover schedule. The deprecated
-/// two-argument run() derives it from the trial's Simulator; all-null
-/// is the static world and reproduces frozen-topology rounds bit for
-/// bit.
+/// channel model, and its crash/recover schedule. All-null at time 0 is
+/// the static world and reproduces frozen-topology rounds bit for bit.
 ///
 /// The session seam (scratch reuse, round/nonce overrides, epoch keys,
 /// the pipelined-campaign timeline) is private: only core::Session and
@@ -177,10 +178,10 @@ struct AggregationResult {
   double mean_radio_on_us() const;
 };
 
-/// Warm per-round state of the flat engine, owned by a core::Session
-/// (or by a deprecated shim's stack frame). Buffers grow to the round
-/// shape on first use and are reused thereafter: after the warm-up
-/// round, the honest static path performs zero heap allocations.
+/// Warm per-round state of the flat engine, owned by a core::Session.
+/// Buffers grow to the round shape on first use and are reused
+/// thereafter: after the warm-up round, the honest static path performs
+/// zero heap allocations.
 struct RoundWorkspace {
   /// holder_pos sentinel: the node is not a share holder this round.
   static constexpr std::uint32_t kNotHolder = 0xFFFFFFFFu;
@@ -201,17 +202,19 @@ struct RoundWorkspace {
   std::vector<std::uint32_t> holder_pos;   // node id -> holder index
   std::vector<std::uint64_t> holder_need;  // flat per-holder entry masks
   std::size_t holder_need_words = 0;
-  std::vector<field::Fp61> holder_sum;       // stage 1b accumulators
   std::vector<field::Fp61> holder_xs;    // holders' public points
   std::vector<field::Fp61> share_matrix; // [s * num_holders + h] = P_s(x_h)
-  std::vector<std::uint64_t> holder_contrib;
+  std::vector<SumPacket> holder_pkt;     // stage 1b: what each holder sends
   std::vector<char> holder_valid;
   std::vector<char> sum_bad;
   std::vector<std::uint64_t> usable_mask;
   std::size_t recon_threshold = 0;
   Bytes wire;  // packet encode/decode round-trip buffer
-  std::vector<std::uint64_t> node_mask;  // stage 3: accepted sum masks
-  std::vector<Share> node_share;         //   parallel decoded values
+  /// Stage 3 reconstructor, reset per node. It references the spec of
+  /// the protocol it was built for and is rebuilt when the workspace
+  /// serves another one (hierarchical group rounds share a workspace).
+  std::optional<roles::AggregatorRole> aggregator;
+  const roles::RoundSpec* aggregator_spec = nullptr;
   field::LagrangeScratch lagrange;
   ct::GlossyConfig sync_cfg;
   ct::MiniCastConfig share_cfg;
@@ -231,32 +234,6 @@ class SssProtocol {
               ProtocolConfig config,
               const ct::Transport* transport = nullptr);
 
-  /// Run one aggregation round. secrets[i] belongs to config.sources[i].
-  /// Reads the dynamics environment off `sim` (channel model, liveness,
-  /// start time = sim.now()).
-  ///
-  /// Deprecated: construct a core::Session over this protocol and call
-  /// Session::run_round — it owns the warm state, issues monotone
-  /// round/nonce ids, and rotates key epochs. This shim runs the same
-  /// engine with a cold workspace (byte-identical results).
-  [[deprecated("use core::Session::run_round")]] AggregationResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim) const;
-
-  /// As above with an explicit environment (e.g. a composition layer
-  /// placing the round later on the trial clock, or mapping a parent
-  /// churn schedule onto a subtopology). Under churn, sources that are
-  /// down at round start never deal — they are excluded from the
-  /// expected aggregate like failed_nodes — while nodes that crash
-  /// mid-round simply fall silent: their undelivered shares surface as
-  /// missing contributors and reconstruction falls back to the Shamir
-  /// threshold path (any degree+1 consistent sums). Reported latencies
-  /// stay relative to the round start.
-  ///
-  /// Deprecated: see the two-argument overload.
-  [[deprecated("use core::Session::run_round")]] AggregationResult run(
-      const std::vector<field::Fp61>& secrets, sim::Simulator& sim,
-      const RoundEnv& env) const;
-
   const ProtocolConfig& config() const { return config_; }
   const ct::Transport& transport() const { return *transport_; }
 
@@ -265,10 +242,15 @@ class SssProtocol {
   friend class Campaign;
   friend class HierarchicalProtocol;
 
-  /// The engine behind every entry point: one aggregation round into
-  /// `ws` (result returned by reference into ws.result). RNG draws,
-  /// arithmetic and outcomes are identical to the historic run()
-  /// overloads; the workspace only changes where buffers live.
+  /// The engine: one aggregation round into `ws` (result returned by
+  /// reference into ws.result). secrets[i] belongs to config.sources[i].
+  /// Under churn, sources that are down at round start never deal —
+  /// they are excluded from the expected aggregate like failed_nodes —
+  /// while nodes that crash mid-round simply fall silent: their
+  /// undelivered shares surface as missing contributors and
+  /// reconstruction falls back to the Shamir threshold path (any
+  /// degree+1 consistent sums). Reported latencies stay relative to the
+  /// round start.
   const AggregationResult& run_round(const std::vector<field::Fp61>& secrets,
                                      sim::Simulator& sim, const RoundEnv& env,
                                      RoundWorkspace& ws) const;
@@ -276,6 +258,7 @@ class SssProtocol {
   const net::Topology* topo_;
   const crypto::KeyStore* keys_;
   ProtocolConfig config_;
+  roles::RoundSpec spec_;  // the round-kernel view of config_
   const ct::Transport* transport_;
   AdversaryEngine engine_;
   ct::SharingSchedule sharing_;        // fixed by config at construction

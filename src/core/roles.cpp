@@ -44,23 +44,26 @@ std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
   return static_cast<std::size_t>(it - list.begin());
 }
 
-SourceRole::SourceRole(const RoundSpec& spec, NodeId self, field::Fp61 secret,
+SourceRole::SourceRole(const RoundSpec& spec, NodeId self,
+                       std::uint16_t round, field::Fp61 secret,
                        crypto::CtrDrbg& drbg)
-    : spec_(spec), self_(self), dealer_(secret, spec.degree, drbg) {
-  validate(spec_);
-  MPCIOT_REQUIRE(index_of(spec_.sources, self).has_value(),
+    : spec_(&spec),
+      self_(self),
+      round_(round),
+      dealer_(secret, spec.degree, drbg) {
+  MPCIOT_REQUIRE(index_of(spec.sources, self).has_value(),
                  "SourceRole: node is not a source of this round");
 }
 
 bool SourceRole::encode_share_for(std::size_t i, const crypto::KeyStore& keys,
                                   Bytes& wire) const {
-  MPCIOT_REQUIRE(i < spec_.holders.size(), "SourceRole: holder index");
-  const NodeId holder = spec_.holders[i];
+  MPCIOT_REQUIRE(i < spec_->holders.size(), "SourceRole: holder index");
+  const NodeId holder = spec_->holders[i];
   if (holder == self_) return false;
   SharePacket pkt;
   pkt.source = self_;
   pkt.destination = holder;
-  pkt.round = spec_.round;
+  pkt.round = round_;
   pkt.share = dealer_.share_for(holder).value;
   pkt.encode_into(keys, wire);
   return true;
@@ -70,33 +73,43 @@ field::Fp61 SourceRole::self_share() const {
   return dealer_.share_for(self_).value;
 }
 
-HolderRole::HolderRole(const RoundSpec& spec, NodeId self)
-    : spec_(spec), self_(self), sum_(field::Fp61{0}) {
-  validate(spec_);
-  MPCIOT_REQUIRE(index_of(spec_.holders, self).has_value(),
-                 "HolderRole: node is not a holder of this round");
+HolderRole::HolderRole(const RoundSpec& spec, std::size_t holder_index)
+    : spec_(&spec), self_(kInvalidNode), sum_(field::Fp61{0}) {
+  MPCIOT_REQUIRE(holder_index < spec.holders.size(),
+                 "HolderRole: holder index out of range");
+  self_ = spec.holders[holder_index];
+}
+
+void HolderRole::reset(std::uint16_t round) {
+  round_ = round;
+  sum_ = field::Fp61{0};
+  mask_ = 0;
+}
+
+bool HolderRole::accept(std::size_t source_index, field::Fp61 value) {
+  if (source_index >= spec_->sources.size()) return false;
+  const std::uint64_t bit = std::uint64_t{1} << source_index;
+  if (mask_ & bit) return false;
+  mask_ |= bit;
+  sum_ += value;
+  return true;
 }
 
 bool HolderRole::accept_local(NodeId source, field::Fp61 value) {
-  const auto idx = index_of(spec_.sources, source);
-  if (!idx) return false;
-  const std::uint64_t bit = std::uint64_t{1} << *idx;
-  if (mask_ & bit) return false;
-  mask_ |= bit;
-  sum_ = sum_ + value;
-  return true;
+  const auto idx = index_of(spec_->sources, source);
+  return idx.has_value() && accept(*idx, value);
 }
 
 bool HolderRole::accept_wire(const Bytes& wire, const crypto::KeyStore& keys) {
   const std::optional<SharePacket> pkt = SharePacket::decode(wire, keys);
   if (!pkt) return false;
   if (pkt->destination != self_) return false;
-  if (pkt->round != spec_.round) return false;
+  if (pkt->round != round_) return false;
   return accept_local(pkt->source, pkt->share);
 }
 
 bool HolderRole::complete() const {
-  return mask_ == mask_for(spec_.sources.size());
+  return mask_ == mask_for(spec_->sources.size());
 }
 
 std::uint32_t HolderRole::contributions() const {
@@ -104,35 +117,42 @@ std::uint32_t HolderRole::contributions() const {
 }
 
 SumPacket HolderRole::sum_packet() const {
-  MPCIOT_REQUIRE(mask_ != 0, "HolderRole: no contributions to sum yet");
   SumPacket pkt;
   pkt.holder = self_;
   pkt.contribution_count = static_cast<std::uint8_t>(std::popcount(mask_));
-  pkt.round = spec_.round;
+  pkt.round = round_;
   pkt.sum = sum_;
   pkt.contributors = mask_;
   return pkt;
 }
 
-AggregatorRole::AggregatorRole(const RoundSpec& spec)
-    : spec_(spec),
-      full_mask_(mask_for(spec.sources.size())),
-      seen_(spec.holders.size(), 0),
-      sums_(spec.holders.size()),
-      masks_(spec.holders.size(), 0) {
-  validate(spec_);
+AggregatorRole::AggregatorRole(const RoundSpec& spec) : spec_(&spec) {
+  reset(0);
+}
+
+void AggregatorRole::reset(std::uint16_t round) {
+  const std::size_t holders = spec_->holders.size();
+  round_ = round;
+  full_mask_ = mask_for(spec_->sources.size());
+  seen_.assign(holders, 0);
+  sums_.resize(holders);
+  masks_.resize(holders);
 }
 
 bool AggregatorRole::accept(const SumPacket& pkt) {
-  if (pkt.round != spec_.round) return false;
-  if (pkt.contributors == 0) return false;
+  const auto idx = index_of(spec_->holders, pkt.holder);
+  return idx.has_value() && accept(*idx, pkt);
+}
+
+bool AggregatorRole::accept(std::size_t holder_index, const SumPacket& pkt) {
+  if (pkt.round != round_) return false;
   if ((pkt.contributors & ~full_mask_) != 0) return false;
-  const auto idx = index_of(spec_.holders, pkt.holder);
-  if (!idx) return false;
-  if (seen_[*idx]) return false;
-  seen_[*idx] = 1;
-  sums_[*idx] = pkt.sum;
-  masks_[*idx] = pkt.contributors;
+  if (holder_index >= seen_.size()) return false;
+  if (spec_->holders[holder_index] != pkt.holder) return false;
+  if (seen_[holder_index]) return false;
+  seen_[holder_index] = 1;
+  sums_[holder_index] = pkt.sum;
+  masks_[holder_index] = pkt.contributors;
   return true;
 }
 
@@ -147,24 +167,29 @@ bool AggregatorRole::full_mask_threshold() const {
   for (std::size_t h = 0; h < seen_.size(); ++h) {
     if (seen_[h] && masks_[h] == full_mask_) ++n;
   }
-  return n >= spec_.degree + 1;
+  return n >= spec_->degree + 1;
 }
 
-std::optional<AggregateOutcome> AggregatorRole::try_reconstruct() const {
+std::optional<AggregateOutcome> AggregatorRole::try_reconstruct(
+    field::LagrangeScratch& scratch) const {
+  const std::size_t threshold = spec_->degree + 1;
+  const std::vector<NodeId>& holders = spec_->holders;
   // Pick the winning mask: maximal popcount, then maximal count of sums
   // carrying it, then numerically smallest. Holder lists are <= a group,
-  // so the quadratic scan is cheap and allocation-light.
+  // so the quadratic scan is cheap; once a mask has been counted its
+  // later sums are skipped, so the common all-equal round is linear.
   std::uint64_t best_mask = 0;
   std::size_t best_count = 0;
   int best_pop = -1;
   for (std::size_t h = 0; h < seen_.size(); ++h) {
     if (!seen_[h]) continue;
     const std::uint64_t m = masks_[h];
+    if (best_pop >= 0 && m == best_mask) continue;
     std::size_t count = 0;
-    for (std::size_t k = 0; k < seen_.size(); ++k) {
+    for (std::size_t k = h; k < seen_.size(); ++k) {
       if (seen_[k] && masks_[k] == m) ++count;
     }
-    if (count < spec_.degree + 1) continue;
+    if (count < threshold) continue;
     const int pop = std::popcount(m);
     if (pop > best_pop || (pop == best_pop && count > best_count) ||
         (pop == best_pop && count == best_count && m < best_mask)) {
@@ -175,25 +200,27 @@ std::optional<AggregateOutcome> AggregatorRole::try_reconstruct() const {
   }
   if (best_pop < 0) return std::nullopt;
 
-  // Interpolate the degree+1 sums of the winning mask with the smallest
-  // holder ids: spec.holders is not necessarily sorted, so order by id.
-  std::vector<std::size_t> idx;
-  for (std::size_t h = 0; h < seen_.size(); ++h) {
-    if (seen_[h] && masks_[h] == best_mask) idx.push_back(h);
-  }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return spec_.holders[a] < spec_.holders[b];
-  });
-  idx.resize(spec_.degree + 1);
-  std::vector<Share> shares;
-  shares.reserve(idx.size());
-  for (const std::size_t h : idx) {
-    shares.push_back(Share{spec_.holders[h], sums_[h]});
+  // Interpolate the winning mask's `threshold` sums with the smallest
+  // holder ids (spec.holders is not necessarily sorted): repeated
+  // minimum selection above the last pick, so no index buffer is built.
+  scratch.samples.clear();
+  NodeId last = 0;
+  for (std::size_t i = 0; i < threshold; ++i) {
+    std::size_t pick = holders.size();
+    for (std::size_t h = 0; h < seen_.size(); ++h) {
+      if (!seen_[h] || masks_[h] != best_mask) continue;
+      if (i > 0 && holders[h] <= last) continue;
+      if (pick == holders.size() || holders[h] < holders[pick]) pick = h;
+    }
+    last = holders[pick];
+    scratch.samples.push_back(
+        field::Sample{public_point(holders[pick]), sums_[pick]});
   }
   AggregateOutcome out;
-  out.aggregate = reconstruct(shares, spec_.degree);
+  out.aggregate = field::interpolate_at_zero(scratch.samples, scratch);
   out.contributor_mask = best_mask;
-  out.sums_used = static_cast<std::uint32_t>(idx.size());
+  out.sums_used = static_cast<std::uint32_t>(threshold);
+  out.consistent_sums = static_cast<std::uint32_t>(best_count);
   return out;
 }
 

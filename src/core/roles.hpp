@@ -1,7 +1,9 @@
-// Single-node phase logic of one share+sum round, extracted so it is
-// callable outside the full-topology simulator: the rt layer's node
-// daemon plays exactly one of these roles per phase over real sockets,
-// while SssProtocol keeps simulating every node of a round at once.
+// The round kernel: the single-node phases of one share+sum round. Both
+// runtimes drive these roles — SssProtocol plays every node of a
+// simulated round through them, while the rt layer's node daemon and
+// coordinator each play one role per phase over real sockets — so
+// point-sum accumulation, contributor-mask selection and Lagrange
+// reconstruction exist exactly once.
 //
 // The three roles compose into the paper's round:
 //   * SourceRole      — deal a Shamir polynomial over the secret and
@@ -11,6 +13,10 @@
 //   * AggregatorRole  — collect point-sums, pick the best consistent
 //                       contributor mask, Lagrange-reconstruct the
 //                       aggregate at x = 0.
+//
+// Roles reference a RoundSpec their owner keeps (and validates once);
+// reset(round) starts the next round without touching the heap, so a
+// warm simulator session stays allocation-free.
 //
 // Reconstruction over any degree+1 sums with identical contributor
 // masks yields the same field element (exact arithmetic over points of
@@ -29,21 +35,23 @@
 #include "crypto/keystore.hpp"
 #include "crypto/prng.hpp"
 #include "field/fp61.hpp"
+#include "field/lagrange.hpp"
 
 namespace mpciot::core::roles {
 
-/// One group's round assignment, as a node daemon receives it. Sources
-/// and holders are global node ids in schedule order; bit i of every
-/// contributor mask refers to sources[i].
+/// One group's round assignment. Sources and holders are global node
+/// ids in schedule order; bit i of every contributor mask refers to
+/// sources[i]. The round number is not part of the spec: roles take it
+/// per round (reset / the SourceRole constructor).
 struct RoundSpec {
   std::vector<NodeId> sources;
   std::vector<NodeId> holders;
   std::size_t degree = 1;
-  std::uint16_t round = 0;
 };
 
 /// Check the spec invariants (non-empty lists, <= 64 sources, unique
 /// ids, 1 <= degree, degree + 1 <= holders). Throws ContractViolation.
+/// The roles assume a validated spec; their owner checks it once.
 void validate(const RoundSpec& spec);
 
 /// Index of `node` in `list`, or nullopt.
@@ -54,10 +62,11 @@ std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
 class SourceRole {
  public:
   /// Deals a fresh degree-`spec.degree` polynomial with constant term
-  /// `secret`, coefficients drawn from `drbg`. Precondition: `self` is
-  /// one of spec.sources.
-  SourceRole(const RoundSpec& spec, NodeId self, field::Fp61 secret,
-             crypto::CtrDrbg& drbg);
+  /// `secret`, coefficients drawn from `drbg`, for round `round`.
+  /// Precondition: `self` is one of spec.sources; `spec` outlives the
+  /// role.
+  SourceRole(const RoundSpec& spec, NodeId self, std::uint16_t round,
+             field::Fp61 secret, crypto::CtrDrbg& drbg);
 
   /// Encode the SharePacket for spec.holders[i] into `wire`. Returns
   /// false (leaving `wire` untouched) when that holder is this node:
@@ -69,11 +78,10 @@ class SourceRole {
   /// node is a holder this round).
   field::Fp61 self_share() const;
 
-  const RoundSpec& spec() const { return spec_; }
-
  private:
-  RoundSpec spec_;
+  const RoundSpec* spec_;
   NodeId self_;
+  std::uint16_t round_;
   ShamirDealer dealer_;
 };
 
@@ -81,12 +89,19 @@ class SourceRole {
 /// point-sum at this node's public point.
 class HolderRole {
  public:
-  /// Precondition: `self` is one of spec.holders.
-  HolderRole(const RoundSpec& spec, NodeId self);
+  /// The collector at spec.holders[holder_index], idle until reset().
+  /// Precondition: `spec` outlives the role.
+  HolderRole(const RoundSpec& spec, std::size_t holder_index);
 
-  /// Accept this node's own share without a wire round-trip (when the
-  /// node is both source and holder). Returns false if `source` is not
-  /// in the spec or already contributed.
+  /// Start round `round` with an empty point-sum (allocation-free).
+  void reset(std::uint16_t round);
+
+  /// Fold in the share of spec.sources[source_index]. Returns false if
+  /// the index is out of range or that source already contributed.
+  bool accept(std::size_t source_index, field::Fp61 value);
+
+  /// As accept, by source id: this node's own share, which never
+  /// travels on the wire.
   bool accept_local(NodeId source, field::Fp61 value);
 
   /// Decode + authenticate + validate one SharePacket addressed to this
@@ -99,15 +114,14 @@ class HolderRole {
   std::uint32_t contributions() const;
   std::uint64_t contributor_mask() const { return mask_; }
 
-  /// The current (partial or complete) point-sum. Precondition: at
-  /// least one contribution.
+  /// The current (partial or complete) point-sum. With no contribution
+  /// yet it is the zero sum under an empty mask.
   SumPacket sum_packet() const;
 
-  const RoundSpec& spec() const { return spec_; }
-
  private:
-  RoundSpec spec_;
+  const RoundSpec* spec_;
   NodeId self_;
+  std::uint16_t round_ = 0;
   field::Fp61 sum_;
   std::uint64_t mask_ = 0;
 };
@@ -119,18 +133,34 @@ struct AggregateOutcome {
   std::uint64_t contributor_mask = 0;
   /// Point-sums actually interpolated (always degree + 1).
   std::uint32_t sums_used = 0;
+  /// Accepted point-sums carrying the winning mask (>= sums_used).
+  std::uint32_t consistent_sums = 0;
 };
 
 /// Reconstructor side: collects SumPackets and reconstructs the
 /// aggregate from the best consistent subset.
 class AggregatorRole {
  public:
+  /// Sizes the per-holder buffers; idle until reset(). Precondition:
+  /// `spec` outlives the role.
   explicit AggregatorRole(const RoundSpec& spec);
+
+  /// Forget every sum and start round `round`. Re-reads the spec, and
+  /// is allocation-free once the buffers have grown to its holder
+  /// count.
+  void reset(std::uint16_t round);
 
   /// Accept one point-sum. Returns false on a reject: wrong round,
   /// unknown holder, a mask with bits beyond the source list, or a
-  /// duplicate holder (first packet wins).
+  /// duplicate holder (first packet wins). An empty mask is accepted: it
+  /// is a point of the zero polynomial and can win only when no mask
+  /// with contributors reaches the threshold, reconstructing 0 for
+  /// nobody.
   bool accept(const SumPacket& pkt);
+
+  /// As accept, for a caller that already knows the sender is
+  /// spec.holders[holder_index] (pkt.holder must name it).
+  bool accept(std::size_t holder_index, const SumPacket& pkt);
 
   std::uint32_t sums_received() const;
 
@@ -143,13 +173,14 @@ class AggregatorRole {
   /// smallest mask; the degree+1 sums of the winning mask with the
   /// smallest holder ids are interpolated, making the outcome (value
   /// AND bookkeeping) independent of arrival order. nullopt while no
-  /// mask reaches the threshold.
-  std::optional<AggregateOutcome> try_reconstruct() const;
-
-  const RoundSpec& spec() const { return spec_; }
+  /// mask reaches the threshold. Allocation-free once `scratch` is
+  /// warm.
+  std::optional<AggregateOutcome> try_reconstruct(
+      field::LagrangeScratch& scratch) const;
 
  private:
-  RoundSpec spec_;
+  const RoundSpec* spec_;
+  std::uint16_t round_ = 0;
   std::uint64_t full_mask_ = 0;
   std::vector<char> seen_;          // per holder index
   std::vector<field::Fp61> sums_;   // per holder index

@@ -55,7 +55,6 @@ const crypto::KeyStore* Session::flat_epoch_keys(std::uint32_t epoch) {
 const RoundReport& Session::run_round(const std::vector<field::Fp61>& secrets,
                                       sim::Simulator& sim) {
   RoundEnv env;
-  env.start_time_us = sim.now();
   env.channel_model = sim.channel_model();
   env.liveness = sim.liveness();
   return run_round_at(secrets, sim, env);

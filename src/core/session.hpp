@@ -3,11 +3,11 @@
 //
 // A protocol object — flat SssProtocol or HierarchicalProtocol — is a
 // pure description: topology, participant lists, NTX tuning. Running a
-// round, however, has state the old run() overloads pushed onto every
-// caller: the round/nonce counter feeding the AES-CTR nonces, the key
-// epoch that must rotate before the 16-bit wire-round window wraps, and
-// the warm buffers that make back-to-back rounds allocation-free. A
-// Session owns all of it:
+// round, however, has state that would otherwise fall on every caller:
+// the round/nonce counter feeding the AES-CTR nonces, the key epoch
+// that must rotate before the 16-bit wire-round window wraps, and the
+// warm buffers that make back-to-back rounds allocation-free. A Session
+// owns all of it:
 //
 //   * monotone round ids — each run_round consumes the next id; a
 //     (key epoch, round) pair is never issued twice (debug-asserted),
@@ -84,10 +84,17 @@ class Session {
   /// Run the next round of the stream: issues the next round id,
   /// rotates the key epoch when due, and runs the protocol engine on
   /// the warm workspace. Secrets are per config().sources for flat
-  /// sessions, per node for hierarchical ones. The dynamics environment
-  /// (clock, channel model, churn) is read off `sim`.
+  /// sessions, per node for hierarchical ones. The round starts at time
+  /// 0 of the trial clock; the channel model and churn schedule are
+  /// read off `sim`.
   const RoundReport& run_round(const std::vector<field::Fp61>& secrets,
                                sim::Simulator& sim);
+
+  /// As run_round under a caller-built environment: the round starts at
+  /// env.start_time_us and runs against env's channel model and churn
+  /// schedule (Campaign also threads its pipelined timeline through).
+  const RoundReport& run_round_at(const std::vector<field::Fp61>& secrets,
+                                  sim::Simulator& sim, RoundEnv env);
 
   /// Round id the next run_round will issue.
   std::uint32_t next_round() const { return next_round_; }
@@ -102,12 +109,6 @@ class Session {
 
  private:
   friend class Campaign;
-
-  /// The engine entry shared with Campaign: run one round under a
-  /// caller-built environment (the campaign sets the submit time and,
-  /// for pipelined hierarchical streams, the persistent timeline).
-  const RoundReport& run_round_at(const std::vector<field::Fp61>& secrets,
-                                  sim::Simulator& sim, RoundEnv env);
 
   /// The epoch's keystore for the flat protocol (null for epoch 0: the
   /// construction keystore). Rebuilt once per epoch, then cached.

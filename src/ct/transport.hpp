@@ -4,10 +4,10 @@
 // A transport provides the two primitives the paper's round structure
 // needs — a one-to-all synchronization *flood* and a many-to-many
 // *chain round* over a TDMA-style entry schedule — and returns the
-// common result views (GlossyResult / MiniCastResult). core::protocol,
-// core::bootstrap and core::unicast_baseline are written against this
-// seam, so a new workload means registering a transport, not editing
-// the protocol engine.
+// common result views (GlossyResult / MiniCastResult). core::protocol
+// and core::bootstrap are written against this seam, so a new workload
+// means registering a transport, not editing the protocol engine (the
+// non-CT unicast baseline is SssProtocol over UnicastTransport).
 //
 // Registered substrates:
 //   * "minicast"      — MiniCast chains, Glossy sync floods (the paper's

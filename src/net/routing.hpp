@@ -1,8 +1,7 @@
 // Multi-hop unicast routing over the topology's good-link shortest
 // paths, with the stop-and-wait ARQ + duty-cycled rendezvous timing of a
-// ContikiMAC-class low-power stack. Shared by the unicast SSS baseline
-// (core::run_unicast_sss) and the unicast transport behind the
-// ct::Transport seam, so both model the exact same per-hop behaviour.
+// ContikiMAC-class low-power stack. Used by the unicast transport behind
+// the ct::Transport seam, which carries the non-CT SSS baseline.
 //
 // Single collision domain: transmissions serialize network-wide, so a
 // walk simply accumulates elapsed airtime (conservative for dense indoor

@@ -24,8 +24,8 @@ inline constexpr std::uint64_t kStreamSecret = 0x52545343ull;     // "RTSC"
 /// holders, S3 style). Groups are capped at 64 sources (the SumPacket
 /// contributor bitmap width) and sized toward ~48 nodes.
 struct DeploymentPlan {
-  std::vector<core::roles::RoundSpec> groups;  ///< round field left 0
-  std::vector<std::uint32_t> group_of;         ///< node -> group index
+  std::vector<core::roles::RoundSpec> groups;
+  std::vector<std::uint32_t> group_of;  ///< node -> group index
 };
 
 /// Compute the plan for `node_count` nodes: place them uniformly at

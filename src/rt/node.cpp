@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "common/assert.hpp"
 #include "crypto/prng.hpp"
 #include "rt/deployment.hpp"
 
@@ -54,12 +55,11 @@ class NodeDaemon {
       case FrameType::kAssign: {
         auto msg = Assign::decode(frame.payload);
         if (!msg.has_value()) return fail();
-        assign_ = std::move(*msg);
-        return;
+        return on_assign(std::move(*msg));
       }
       case FrameType::kRoundStart: {
         const auto msg = RoundStart::decode(frame.payload);
-        if (!msg.has_value() || !assign_.has_value()) return fail();
+        if (!msg.has_value() || !spec_.has_value()) return fail();
         return start_round(msg->round);
       }
       case FrameType::kShareFwd: {
@@ -85,18 +85,29 @@ class NodeDaemon {
     }
   }
 
+  /// Keep the group spec for the whole campaign; the holder role
+  /// references it and is reset per round.
+  void on_assign(Assign&& msg) {
+    holder_.reset();
+    core::roles::RoundSpec spec;
+    spec.sources = std::move(msg.sources);
+    spec.holders = std::move(msg.holders);
+    spec.degree = msg.degree;
+    try {
+      core::roles::validate(spec);
+    } catch (const ContractViolation&) {
+      return fail();
+    }
+    spec_ = std::move(spec);
+    const auto holder_idx = core::roles::index_of(spec_->holders, config_.node);
+    if (holder_idx.has_value()) holder_.emplace(*spec_, *holder_idx);
+  }
+
   void start_round(std::uint16_t round) {
     round_ = round;
-    core::roles::RoundSpec spec;
-    spec.sources = assign_->sources;
-    spec.holders = assign_->holders;
-    spec.degree = assign_->degree;
-    spec.round = round;
-
-    holder_.reset();
+    const core::roles::RoundSpec& spec = *spec_;
     reported_ = false;
-    const auto holder_idx = core::roles::index_of(spec.holders, config_.node);
-    if (holder_idx.has_value()) holder_.emplace(spec, config_.node);
+    if (holder_.has_value()) holder_->reset(round);
 
     if (core::roles::index_of(spec.sources, config_.node).has_value()) {
       const field::Fp61 secret = deterministic_secret(
@@ -105,7 +116,8 @@ class NodeDaemon {
           crypto::derive_seed(config_.deployment_seed, kStreamDeal,
                               config_.node),
           round);
-      const core::roles::SourceRole source(spec, config_.node, secret, drbg);
+      const core::roles::SourceRole source(spec, config_.node, round, secret,
+                                           drbg);
 
       const bool crash_now = config_.crash_at_round == round;
       Bytes wire;
@@ -162,7 +174,7 @@ class NodeDaemon {
   crypto::KeyStore keys_;
   EventLoop loop_;
   std::uint64_t conn_ = 0;
-  std::optional<Assign> assign_;
+  std::optional<core::roles::RoundSpec> spec_;
   std::optional<core::roles::HolderRole> holder_;
   std::uint16_t round_ = 0;
   bool reported_ = false;

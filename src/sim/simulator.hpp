@@ -1,25 +1,22 @@
-// Simulation context: event queue + RNG streams + run bookkeeping.
+// Simulation context of one experiment run: the run's RNG streams plus
+// its dynamics environment (channel model, churn schedule).
 //
-// One `Simulator` owns the clock for one experiment run. Protocol code
-// takes a Simulator& and never touches wall-clock time or global RNGs,
-// which keeps runs deterministic and parallelizable at the process level.
+// Protocol code takes a Simulator& and never touches wall-clock time or
+// global RNGs, which keeps runs deterministic and parallelizable at the
+// process level. Rounds carry their own start time on the trial clock
+// (core::RoundEnv); the simulator holds no clock of its own.
 #pragma once
 
 #include <cstdint>
 
 #include "crypto/prng.hpp"
 #include "net/channel_model.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mpciot::sim {
 
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
-
-  EventQueue& events() { return events_; }
-  const EventQueue& events() const { return events_; }
-  SimTime now() const { return events_.now(); }
 
   /// Channel/link randomness (statistical PRNG).
   crypto::Xoshiro256& channel_rng() { return channel_rng_; }
@@ -47,12 +44,8 @@ class Simulator {
   }
   const net::LivenessModel* liveness() const { return liveness_; }
 
-  /// Run to completion (or until `until`).
-  std::size_t run(SimTime until = INT64_MAX) { return events_.run(until); }
-
  private:
   std::uint64_t seed_;
-  EventQueue events_;
   crypto::Xoshiro256 channel_rng_;
   const net::ChannelModel* channel_model_ = nullptr;
   const net::LivenessModel* liveness_ = nullptr;

@@ -237,5 +237,23 @@ TEST(Scenarios, NtxCoverageHonorsMaxNtxParam) {
   EXPECT_EQ(rows.size(), 4u);
 }
 
+TEST(Scenarios, UnicastVsCtChargesIdleListening) {
+  // The unicast row runs S4 over ct::UnicastTransport, which accounts
+  // only TX/RX airtime; the scenario adds the duty-cycled MAC's 1%
+  // idle-listening term on top, so every node's radio is on for at
+  // least 1% of the round.
+  const Registry reg = make_registry();
+  ScenarioContext ctx;
+  ctx.reps = 1;
+  const auto rows = reg.find("unicast_vs_ct")->run(ctx);
+  ASSERT_EQ(rows.size(), 2u);
+  const auto& ct = rows[0].json();
+  const auto& uc = rows[1].json();
+  EXPECT_EQ(uc.find("substrate")->as_string(), "unicast_routing");
+  const double latency_ms = uc.find("latency_ms")->as_double();
+  EXPECT_GE(uc.find("max_radio_on_ms")->as_double(), 0.01 * latency_ms);
+  EXPECT_GT(latency_ms, ct.find("latency_ms")->as_double());
+}
+
 }  // namespace
 }  // namespace mpciot::bench

@@ -164,16 +164,16 @@ TEST(Campaign, ChurnMidCampaignRecoversWithoutPoisoningWarmState) {
   for (const char ok : res.round_ok) EXPECT_EQ(ok, 1);
 
   // One more warm round, long after recovery: the full sum — victim
-  // included — reconstructs at every node. Advance the trial clock past
-  // the churn window first (run_round starts at sim.now()).
-  sim.events().schedule_in(200 * kMillisecond, [] {});
-  sim.run();
-  ASSERT_GE(sim.now(), 200 * kMillisecond);
+  // included — reconstructs at every node. The round is placed past the
+  // churn window on the trial clock.
   std::vector<Fp61> secrets(topo.size());
   fill_round(9, secrets);
   Fp61 expected;
   for (const Fp61& s : secrets) expected += s;
-  const RoundReport& rep = session.run_round(secrets, sim);
+  RoundEnv env;
+  env.start_time_us = 200 * kMillisecond;
+  env.liveness = &churn;
+  const RoundReport& rep = session.run_round_at(secrets, sim, env);
   ASSERT_NE(rep.hier, nullptr);
   ASSERT_TRUE(rep.hier->has_aggregate);
   EXPECT_EQ(rep.hier->aggregate, expected);

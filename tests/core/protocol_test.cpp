@@ -528,35 +528,5 @@ TEST(ProtocolAdversary, JammerDegradesDeliveryAcrossTransports) {
 }
 
 
-TEST(SessionMigration, DeprecatedRunShimMatchesSessionByteForByte) {
-  // The retired SssProtocol::run overloads are thin shims over
-  // Session::run_round; one round through each must be bit-identical.
-  const net::Topology topo = make_grid9();
-  const crypto::KeyStore keys(1, topo.size());
-  const auto sources = all_nodes(topo);
-  const SssProtocol s4(topo, keys, make_s4_config(topo, sources, 2, 5));
-  const auto secrets = fixed_secrets(sources.size());
-  sim::Simulator sim1(41);
-  sim::Simulator sim2(41);
-  sim::Simulator sim3(41);
-  const AggregationResult via_session = session_round(s4, secrets, sim1);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const AggregationResult via_shim = s4.run(secrets, sim2);
-  const AggregationResult via_env_shim = s4.run(secrets, sim3, RoundEnv{});
-#pragma GCC diagnostic pop
-  for (const AggregationResult* other : {&via_shim, &via_env_shim}) {
-    EXPECT_EQ(via_session.total_duration_us, other->total_duration_us);
-    EXPECT_EQ(via_session.share_delivery_ratio, other->share_delivery_ratio);
-    ASSERT_EQ(via_session.nodes.size(), other->nodes.size());
-    for (std::size_t i = 0; i < via_session.nodes.size(); ++i) {
-      EXPECT_EQ(via_session.nodes[i].latency_us, other->nodes[i].latency_us);
-      EXPECT_EQ(via_session.nodes[i].radio_on_us,
-                other->nodes[i].radio_on_us);
-      EXPECT_EQ(via_session.nodes[i].aggregate, other->nodes[i].aggregate);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mpciot::core

@@ -1,6 +1,7 @@
 // Steady-state allocation audit: after the warm-up rounds, the flat
 // static hot path — Session::run_round end to end, sharing and
-// reconstruction chains included — must perform ZERO heap allocations.
+// reconstruction chains included — must perform ZERO heap allocations,
+// and so must the round kernel's warm reconstructor on its own.
 // This is the warm-workspace contract the Session API exists for; any
 // regression (a std::function that outgrew its small-object buffer, a
 // vector rebuilt instead of reused, a map insert on the fast path)
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "core/roles.hpp"
 #include "core/session.hpp"
 #include "crypto/keystore.hpp"
 #include "net/testbeds.hpp"
@@ -111,6 +113,51 @@ TEST(SessionAllocation, S3SteadyStateAllocatesNothingToo) {
     ASSERT_TRUE(session.run_round(secrets, sim).ok);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(RoleAllocation, WarmAggregatorReconstructsMixedMasksWithoutAllocating) {
+  // reset -> accept -> try_reconstruct on a warm AggregatorRole over a
+  // mixed-mask set (a source missing at two of five holders, holders out
+  // of id order), so the mask selection and the smallest-id pick both
+  // run. Every sum is a point of the sum polynomial P(x) = 77 + 5x + 3x^2
+  // restricted to its mask, so the value is checkable too.
+  roles::RoundSpec spec;
+  spec.sources = {0, 1, 2, 3, 4, 5};
+  spec.holders = {7, 2, 5, 0, 3};
+  spec.degree = 2;
+  std::vector<SumPacket> pkts;
+  for (const NodeId holder : spec.holders) {
+    const bool partial = holder == 2 || holder == 0;
+    const Fp61 x = public_point(holder);
+    SumPacket pkt;
+    pkt.holder = holder;
+    pkt.contributors = partial ? 0b011111 : 0b111111;
+    pkt.contribution_count = partial ? 5 : 6;
+    pkt.sum = Fp61{partial ? 70u : 77u} + Fp61{5} * x + Fp61{3} * x * x;
+    pkts.push_back(pkt);
+  }
+  roles::AggregatorRole aggregator(spec);
+  field::LagrangeScratch scratch;
+  const auto round = [&](std::uint16_t r) {
+    aggregator.reset(r);
+    for (SumPacket& pkt : pkts) {
+      pkt.round = r;
+      aggregator.accept(pkt);
+    }
+    return aggregator.try_reconstruct(scratch);
+  };
+  ASSERT_TRUE(round(0).has_value());  // warm-up sizes the scratch
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint16_t r = 1; r <= 4; ++r) {
+    const std::optional<roles::AggregateOutcome> out = round(r);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->contributor_mask, 0b111111u);
+    EXPECT_EQ(out->consistent_sums, 3u);
+    EXPECT_EQ(out->aggregate, Fp61{77});
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "a warm AggregatorRole must not touch the heap";
 }
 
 }  // namespace

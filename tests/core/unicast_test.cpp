@@ -1,11 +1,14 @@
-#include "core/unicast_baseline.hpp"
-
+// The non-CT baseline: the same SSS round (SssProtocol through a
+// core::Session) over ct::UnicastTransport, the routed stop-and-wait
+// unicast substrate a duty-cycled collection-tree stack would use.
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
-#include "core/wire.hpp"
-#include "ct/chain_schedule.hpp"
+#include "core/protocol.hpp"
+#include "core/session.hpp"
+#include "crypto/keystore.hpp"
 #include "ct/transport.hpp"
+#include "sim/simulator.hpp"
 
 namespace mpciot::core {
 namespace {
@@ -28,19 +31,34 @@ std::vector<Fp61> fixed_secrets(std::size_t n) {
   return secrets;
 }
 
+std::vector<NodeId> all_nodes(const net::Topology& topo) {
+  std::vector<NodeId> nodes;
+  for (NodeId i = 0; i < topo.size(); ++i) nodes.push_back(i);
+  return nodes;
+}
+
+/// One session round of `cfg` over the unicast substrate.
+AggregationResult unicast_round(const net::Topology& topo,
+                                const ProtocolConfig& cfg,
+                                const std::vector<Fp61>& secrets,
+                                std::uint64_t seed) {
+  const crypto::KeyStore keys(1, topo.size());
+  const ct::UnicastTransport unicast;
+  const SssProtocol protocol(topo, keys, cfg, &unicast);
+  Session session(protocol);
+  sim::Simulator sim(seed);
+  return *session.run_round(secrets, sim).flat;
+}
+
 TEST(UnicastBaseline, AggregatesCorrectlyOnGrid) {
   const net::Topology topo = make_grid9();
-  std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  const auto cfg = make_s3_config(topo, sources, 2, /*ntx unused*/ 1);
-  sim::Simulator sim(3);
+  const auto cfg = make_s3_config(topo, all_nodes(topo), 2, /*ntx unused*/ 1);
   const auto secrets = fixed_secrets(9);
-  const UnicastResult res =
-      run_unicast_sss(topo, cfg, secrets, UnicastParams{}, sim);
+  const AggregationResult res = unicast_round(topo, cfg, secrets, 3);
 
   Fp61 expected;
   for (const auto& s : secrets) expected += s;
-  EXPECT_GT(res.delivery_ratio, 0.99);
+  EXPECT_GT(res.share_delivery_ratio, 0.99);
   EXPECT_EQ(res.success_ratio(), 1.0);
   for (const auto& node : res.nodes) {
     EXPECT_TRUE(node.has_aggregate);
@@ -50,100 +68,34 @@ TEST(UnicastBaseline, AggregatesCorrectlyOnGrid) {
 
 TEST(UnicastBaseline, DurationGrowsWithMessageCount) {
   const net::Topology topo = make_grid9();
-  sim::Simulator sim1(3);
-  sim::Simulator sim2(3);
-  const auto small = run_unicast_sss(
-      topo, make_s3_config(topo, {0, 4, 8}, 1, 1), fixed_secrets(3),
-      UnicastParams{}, sim1);
-  std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  const auto large = run_unicast_sss(topo, make_s3_config(topo, sources, 2, 1),
-                                     fixed_secrets(9), UnicastParams{}, sim2);
+  const AggregationResult small = unicast_round(
+      topo, make_s3_config(topo, {0, 4, 8}, 1, 1), fixed_secrets(3), 3);
+  const AggregationResult large = unicast_round(
+      topo, make_s3_config(topo, all_nodes(topo), 2, 1), fixed_secrets(9), 3);
   EXPECT_GT(large.total_duration_us, small.total_duration_us);
 }
 
-TEST(UnicastBaseline, RadioOnIncludesIdleListening) {
-  const net::Topology topo = make_grid9();
-  std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  UnicastParams params;
-  params.idle_duty_cycle = 0.5;  // exaggerate for the test
-  sim::Simulator sim(9);
-  const auto res = run_unicast_sss(topo, make_s3_config(topo, sources, 2, 1),
-                                   fixed_secrets(9), params, sim);
-  for (NodeId i = 0; i < topo.size(); ++i) {
-    EXPECT_GE(res.radio_on_us[i],
-              static_cast<SimTime>(0.5 * res.total_duration_us) - 1);
-  }
-}
-
-TEST(UnicastBaseline, IsExactlyTheSeamComposition) {
-  // run_unicast_sss must be the composition of two UnicastTransport
-  // chain rounds (sharing point-to-point, sums broadcast) over the same
-  // RNG stream: timing, radio and delivery all have to line up.
-  const net::Topology topo = make_grid9();
-  std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  const auto cfg = make_s3_config(topo, sources, 2, 1);
-  const auto secrets = fixed_secrets(9);
-  UnicastParams params;
-
-  sim::Simulator sim1(3);
-  const UnicastResult res =
-      run_unicast_sss(topo, cfg, secrets, params, sim1);
-
-  sim::Simulator sim2(3);
-  const ct::UnicastTransport transport(net::routing::MacParams{
-      params.max_retries_per_hop, params.ack_payload_bytes,
-      params.wakeup_interval_us});
-  const auto sharing =
-      ct::make_sharing_schedule(cfg.sources, cfg.share_holders);
-  ct::MiniCastConfig share_cfg;
-  share_cfg.payload_bytes = SharePacket::kWireSize;
-  const ct::MiniCastResult share_round = transport.chain_round(
-      topo, sharing.entries, share_cfg, sim2.channel_rng(), nullptr);
-  const auto recon = ct::make_reconstruction_schedule(cfg.share_holders);
-  ct::MiniCastConfig recon_cfg;
-  recon_cfg.payload_bytes = SumPacket::kWireSize;
-  const ct::MiniCastResult recon_round = transport.chain_round(
-      topo, recon.entries, recon_cfg, sim2.channel_rng(), nullptr);
-
-  EXPECT_EQ(res.total_duration_us,
-            share_round.duration_us + recon_round.duration_us);
-  for (NodeId i = 0; i < topo.size(); ++i) {
-    const SimTime idle = static_cast<SimTime>(
-        params.idle_duty_cycle *
-        static_cast<double>(res.total_duration_us));
-    EXPECT_EQ(res.radio_on_us[i], share_round.radio_on_us[i] +
-                                      recon_round.radio_on_us[i] + idle)
-        << "node " << i;
-  }
-}
-
 TEST(UnicastBaseline, PinnedRegressionOnGrid9) {
-  // Frozen observable behaviour for seed 3 — a tripwire for accidental
-  // changes to routing, retry or timing logic anywhere under the seam.
+  // Same seed, same round — a tripwire for nondeterminism anywhere under
+  // the seam (routing, retries, timing).
   const net::Topology topo = make_grid9();
-  std::vector<NodeId> sources;
-  for (NodeId i = 0; i < topo.size(); ++i) sources.push_back(i);
-  sim::Simulator sim(3);
-  const UnicastResult res = run_unicast_sss(
-      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9),
-      UnicastParams{}, sim);
-  sim::Simulator sim2(3);
-  const UnicastResult res2 = run_unicast_sss(
-      topo, make_s3_config(topo, sources, 2, 1), fixed_secrets(9),
-      UnicastParams{}, sim2);
+  const auto cfg = make_s3_config(topo, all_nodes(topo), 2, 1);
+  const AggregationResult res = unicast_round(topo, cfg, fixed_secrets(9), 3);
+  const AggregationResult res2 =
+      unicast_round(topo, cfg, fixed_secrets(9), 3);
   EXPECT_EQ(res.total_duration_us, res2.total_duration_us);
-  EXPECT_EQ(res.radio_on_us, res2.radio_on_us);
-  EXPECT_EQ(res.delivery_ratio, res2.delivery_ratio);
+  EXPECT_EQ(res.share_delivery_ratio, res2.share_delivery_ratio);
+  ASSERT_EQ(res.nodes.size(), res2.nodes.size());
+  for (std::size_t i = 0; i < res.nodes.size(); ++i) {
+    EXPECT_EQ(res.nodes[i].radio_on_us, res2.nodes[i].radio_on_us);
+    EXPECT_EQ(res.nodes[i].latency_us, res2.nodes[i].latency_us);
+  }
 }
 
 TEST(UnicastBaseline, SecretCountMismatchViolatesContract) {
   const net::Topology topo = make_grid9();
-  sim::Simulator sim(1);
-  EXPECT_THROW(run_unicast_sss(topo, make_s3_config(topo, {0, 1, 2}, 1, 1),
-                               fixed_secrets(2), UnicastParams{}, sim),
+  EXPECT_THROW(unicast_round(topo, make_s3_config(topo, {0, 1, 2}, 1, 1),
+                             fixed_secrets(2), 1),
                ContractViolation);
 }
 

@@ -3,8 +3,8 @@
 
 #include "core/protocol.hpp"
 #include "core/session.hpp"
-#include "core/unicast_baseline.hpp"
 #include "ct/chain_schedule.hpp"
+#include "ct/transport.hpp"
 #include "metrics/experiment.hpp"
 #include "net/testbeds.hpp"
 
@@ -100,14 +100,17 @@ TEST(EndToEnd, UnicastBaselineIsSlowerThanCt) {
   const auto sources = all_nodes(topo);
   const auto cfg = core::make_s3_config(topo, sources, 2, 5);
   const SssProtocol s3(topo, keys, cfg);
+  const ct::UnicastTransport unicast;
+  const SssProtocol s3_unicast(topo, keys, cfg, &unicast);
 
   const auto secrets = metrics::random_secrets(1, sources.size());
   sim::Simulator sim_ct(5);
   core::Session session(s3);
   const AggregationResult ct_res = *session.run_round(secrets, sim_ct).flat;
   sim::Simulator sim_uc(5);
-  const core::UnicastResult uc_res =
-      core::run_unicast_sss(topo, cfg, secrets, core::UnicastParams{}, sim_uc);
+  core::Session uc_session(s3_unicast);
+  const AggregationResult uc_res =
+      *uc_session.run_round(secrets, sim_uc).flat;
 
   EXPECT_EQ(ct_res.success_ratio(), 1.0);
   EXPECT_EQ(uc_res.success_ratio(), 1.0);

@@ -47,14 +47,5 @@ TEST(Simulator, SecretRngIndependentOfChannelDraws) {
   EXPECT_EQ(a.secret_rng(3).next_u64(), b.secret_rng(3).next_u64());
 }
 
-TEST(Simulator, RunDrivesEventQueue) {
-  Simulator sim(1);
-  int count = 0;
-  sim.events().schedule_at(10, [&] { ++count; });
-  sim.events().schedule_at(20, [&] { ++count; });
-  EXPECT_EQ(sim.run(), 2u);
-  EXPECT_EQ(sim.now(), 20);
-}
-
 }  // namespace
 }  // namespace mpciot::sim
