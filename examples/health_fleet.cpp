@@ -73,10 +73,8 @@ int main(int argc, char** argv) {
               static_cast<double>(station.latency_us) / 1e3);
 
   // What could `degree` colluding share-holders learn about patient 0?
-  crypto::CtrDrbg drbg(sim.seed(),
-                       0x5EC0000000000000ull |
-                           (static_cast<std::uint64_t>(cfg.round) << 32) |
-                           wearables[0]);
+  // (The dealer stream of round 0, the session's first round.)
+  crypto::CtrDrbg drbg(sim.seed(), 0x5EC0000000000000ull | wearables[0]);
   const core::ShamirDealer patient0(heart_rates[0], degree, drbg);
   core::CollusionView coalition;
   coalition.dealer = wearables[0];

@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
 
   // The energy bill of privacy: radio-on translated to charge.
   const double per_round_ms = total_radio_ms / rounds;
-  const double charge_mc =
-      per_round_ms / 1e3 * district.radio().rx_current_ma;  // ~RX current
+  constexpr double kRxCurrentMa = 6.5;  // nRF52840 radio RX @ 0 dBm class
+  const double charge_mc = per_round_ms / 1e3 * kRxCurrentMa;
   std::printf(
       "\nprivacy overhead: ~%.0f ms radio-on per 15-min round (~%.2f mC, "
       "~%.4f%% duty cycle) — sustainable on a coin cell.\n",

@@ -47,6 +47,27 @@ std::vector<NodeId> elect_share_holders(const net::Topology& topo,
                                         const std::vector<NodeId>& sources,
                                         std::size_t count);
 
+/// The one "closest eligible node" election (phase initiators, group
+/// leaders, churn hand-offs): among `candidates` (node ids, in order)
+/// that `eligible` accepts, the one with the fewest `hops(c)`, ties to
+/// the smaller id. `eligible` is asked once per candidate, and `hops`
+/// only for eligible ones. kInvalidNode when no candidate is eligible.
+template <class Candidates, class Hops, class Eligible>
+NodeId elect_closest(const Candidates& candidates, Hops&& hops,
+                     Eligible&& eligible) {
+  NodeId best = kInvalidNode;
+  std::uint32_t best_h = net::Topology::kInvalidHops;
+  for (const NodeId c : candidates) {
+    if (!eligible(c)) continue;
+    const std::uint32_t h = hops(c);
+    if (h < best_h || (h == best_h && c < best)) {
+      best_h = h;
+      best = c;
+    }
+  }
+  return best;
+}
+
 /// Find the smallest NTX in [1, max_ntx] such that a sharing round over
 /// `entries` reaches `required_ratio` of the per-node done-predicates in
 /// every one of `trials` trials. Returns max_ntx if none suffices.

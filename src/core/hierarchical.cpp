@@ -1,7 +1,9 @@
 #include "core/hierarchical.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <ranges>
 
 #include "common/assert.hpp"
 #include "core/bootstrap.hpp"
@@ -56,6 +58,26 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
     begin += size;
   }
   return ranges;
+}
+
+/// The parent's attackers that are members of a group, as local ids
+/// (member positions), so a group round tampers/verifies/jams exactly
+/// like the flat protocol on its subtopology.
+std::vector<NodeId> local_attackers(const std::vector<NodeId>& attackers,
+                                    const std::vector<NodeId>& members) {
+  std::vector<NodeId> local;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (std::find(attackers.begin(), attackers.end(), members[i]) !=
+        attackers.end()) {
+      local.push_back(static_cast<NodeId>(i));
+    }
+  }
+  return local;
+}
+
+/// The node ids 0..count-1 of a (sub)topology, as election candidates.
+auto node_ids(std::size_t count) {
+  return std::views::iota(NodeId{0}, static_cast<NodeId>(count));
 }
 
 }  // namespace
@@ -132,35 +154,14 @@ HierarchicalProtocol::HierarchicalProtocol(const net::Topology& topo,
     // that heard it, and the parent recombines as usual.
     if (config_.depth > 1 &&
         group.members.size() >= config_.min_nested_size) {
-      HierarchicalConfig ncfg;
+      HierarchicalConfig ncfg = config_;
       ncfg.partition = net::partition::grid_blocks(*group.sub,
                                                    config_.fanout);
-      ncfg.num_channels = config_.num_channels;
-      ncfg.max_batch = config_.max_batch;
-      ncfg.ntx_sharing = config_.ntx_sharing;
-      ncfg.ntx_reconstruction = config_.ntx_reconstruction;
-      ncfg.scale_ntx_with_diameter = config_.scale_ntx_with_diameter;
-      ncfg.result_flood_ntx = config_.result_flood_ntx;
-      ncfg.holder_slack = config_.holder_slack;
-      ncfg.early_radio_off = config_.early_radio_off;
-      ncfg.max_retries = config_.max_retries;
-      ncfg.max_chain_slots = config_.max_chain_slots;
       ncfg.key_seed =
           crypto::derive_seed(config_.key_seed, kStreamNestedKeys, g);
-      ncfg.feldman_vss = config_.feldman_vss;
       ncfg.depth = config_.depth - 1;
-      ncfg.fanout = config_.fanout;
-      ncfg.min_nested_size = config_.min_nested_size;
-      ncfg.adversary = config_.adversary;
-      ncfg.adversary.attackers.clear();
-      for (std::size_t i = 0; i < group.members.size(); ++i) {
-        if (std::find(config_.adversary.attackers.begin(),
-                      config_.adversary.attackers.end(),
-                      group.members[i]) !=
-            config_.adversary.attackers.end()) {
-          ncfg.adversary.attackers.push_back(static_cast<NodeId>(i));
-        }
-      }
+      ncfg.adversary.attackers =
+          local_attackers(config_.adversary.attackers, group.members);
       group.nested = std::make_unique<HierarchicalProtocol>(
           *group.sub, std::move(ncfg), transport_);
       groups_.push_back(std::move(group));
@@ -195,23 +196,12 @@ HierarchicalProtocol::HierarchicalProtocol(const net::Topology& topo,
       cfg.ntx_sharing = std::max(config_.ntx_sharing, depth_ntx);
       cfg.ntx_reconstruction =
           std::max(config_.ntx_reconstruction, depth_ntx);
-      cfg.round = static_cast<std::uint32_t>(b);
       cfg.initiator = group.leader_local;
       cfg.early_radio_off = config_.early_radio_off;
       cfg.max_chain_slots = config_.max_chain_slots;
-      // Attackers among this group's members, mapped to local ids; the
-      // group round then tampers/verifies/jams exactly like the flat
-      // protocol on its subtopology.
       cfg.adversary = config_.adversary;
-      cfg.adversary.attackers.clear();
-      for (std::size_t i = 0; i < group.members.size(); ++i) {
-        if (std::find(config_.adversary.attackers.begin(),
-                      config_.adversary.attackers.end(),
-                      group.members[i]) !=
-            config_.adversary.attackers.end()) {
-          cfg.adversary.attackers.push_back(static_cast<NodeId>(i));
-        }
-      }
+      cfg.adversary.attackers =
+          local_attackers(config_.adversary.attackers, group.members);
       cfg.feldman_vss = config_.feldman_vss;
       group.batch_rounds.emplace_back(*group.sub, *group.keys,
                                       std::move(cfg), transport_);
@@ -256,8 +246,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   // key epoch (kept small enough that inner batch rounds stay inside
   // the 16-bit wire window); epoch 0, round 0 is the historic
   // single-shot round bit for bit.
-  const std::uint32_t r_in_epoch =
-      env.round == RoundEnv::kInheritRound ? 0 : env.round;
+  const std::uint32_t r_in_epoch = env.round;
   const std::uint32_t epoch = env.key_epoch;
 
   // Epoch-rotated per-group keystores, rebuilt when the epoch changes
@@ -325,22 +314,22 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   // order the groups are simulated in — they are concurrent in simulated
   // time whenever their channels differ.
   //
-  // Classic mode books on a per-round local timeline starting at t=0;
-  // a pipelined campaign hands in a persistent timeline whose channel
-  // ends are absolute trial-clock times carried over from earlier
-  // rounds, so this round's group phase starts the moment each channel
-  // frees up — possibly while the previous round's recombination floods
-  // are still draining on the dedicated flood lane.
-  ct::ChannelTimeline* const ext = env.timeline;
-  const bool pipelined = ext != nullptr;
-  if (pipelined) {
-    MPCIOT_REQUIRE(ext->num_channels() > config_.num_channels,
-                   "hierarchical: a campaign timeline needs a flood lane "
-                   "beyond the group channels");
-  } else {
-    ws.local_timeline.resize(config_.num_channels);
+  // Every round books absolute trial-clock times on a timeline with one
+  // lane per group channel plus a flood lane. A pipelined campaign hands
+  // in a persistent one carried over from earlier rounds, so this
+  // round's group phase starts the moment each channel frees up —
+  // possibly while the previous round's recombination floods are still
+  // draining on the flood lane. Otherwise the round books on a cleared
+  // local timeline, where every lane is free from the round start.
+  if (env.timeline == nullptr) {
+    ws.local_timeline.resize(
+        static_cast<std::uint16_t>(config_.num_channels + 1));
   }
-  ct::ChannelTimeline& timeline = pipelined ? *ext : ws.local_timeline;
+  ct::ChannelTimeline& timeline =
+      env.timeline != nullptr ? *env.timeline : ws.local_timeline;
+  MPCIOT_REQUIRE(timeline.num_channels() > config_.num_channels,
+                 "hierarchical: a campaign timeline needs a flood lane "
+                 "beyond the group channels");
   // One scratch context for the whole trial: every group round and
   // recombination/result flood reuses its buffers, and with a channel
   // model the epoch-walked view continues across the rounds that share
@@ -365,10 +354,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     // This group's rounds start when its channel frees up; booking after
     // the fact returns the same offset because groups book in order.
     const SimTime ch_start_abs =
-        pipelined
-            ? std::max(timeline.channel_end_us(group.channel),
-                       env.start_time_us)
-            : env.start_time_us + timeline.channel_end_us(group.channel);
+        std::max(timeline.channel_end_us(group.channel), env.start_time_us);
     const std::optional<MappedLiveness> mapped =
         env.liveness != nullptr
             ? std::optional<MappedLiveness>(
@@ -376,6 +362,9 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
             : std::nullopt;
 
     NodeId lead_local = group.leader_local;
+    const auto to_group_center = [&group](NodeId m) {
+      return group.sub->hops(m, group.sub->center_node());
+    };
     std::vector<char>& deputies = ws.deputies[g];
     deputies.assign(group.members.size(), 1);
 
@@ -392,10 +381,11 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
 
     // Subtree group: one nested hierarchical round stands in for the
     // batch rounds (batch_rounds is empty, so the loop below no-ops).
-    // The subtree runs in classic mode on the trial clock — its own
-    // group phases, recombination floods and result flood are booked on
-    // its private timeline and land inside this group's channel
-    // booking, so every level threads through the shared clock.
+    // The subtree runs on the trial clock without a campaign timeline —
+    // its own group phases, recombination floods and result flood are
+    // booked on its workspace's per-round timeline and land inside this
+    // group's channel booking, so every level threads through the
+    // shared clock.
     if (group.nested != nullptr) {
       out.batches =
           static_cast<std::uint32_t>(group.nested->num_groups());
@@ -453,18 +443,9 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
           deputies[local] = nres.has_result[local];
         }
         if (nres.has_result[lead_local] == 0) {
-          NodeId best = kInvalidNode;
-          std::uint32_t best_h = net::Topology::kInvalidHops;
-          const NodeId center = group.sub->center_node();
-          for (NodeId m = 0;
-               m < static_cast<NodeId>(group.members.size()); ++m) {
-            if (nres.has_result[m] == 0) continue;
-            const std::uint32_t h = group.sub->hops(m, center);
-            if (h < best_h || (h == best_h && m < best)) {
-              best_h = h;
-              best = m;
-            }
-          }
+          const NodeId best = elect_closest(
+              node_ids(group.members.size()), to_group_center,
+              [&](NodeId m) { return nres.has_result[m] != 0; });
           if (best != kInvalidNode && best != lead_local) {
             lead_local = best;
             ++out.leader_reelections;
@@ -496,18 +477,11 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
         // run it: hand off to the most central member that is up.
         if (env.liveness != nullptr &&
             env.liveness->is_down(group.members[lead_local], t0)) {
-          NodeId best = kInvalidNode;
-          std::uint32_t best_h = net::Topology::kInvalidHops;
-          const NodeId center = group.sub->center_node();
-          for (NodeId m = 0;
-               m < static_cast<NodeId>(group.members.size()); ++m) {
-            if (env.liveness->is_down(group.members[m], t0)) continue;
-            const std::uint32_t h = group.sub->hops(m, center);
-            if (h < best_h || (h == best_h && m < best)) {
-              best_h = h;
-              best = m;
-            }
-          }
+          const NodeId best = elect_closest(
+              node_ids(group.members.size()), to_group_center,
+              [&](NodeId m) {
+                return !env.liveness->is_down(group.members[m], t0);
+              });
           if (best != kInvalidNode && best != lead_local) {
             lead_local = best;
             ++out.leader_reelections;
@@ -529,10 +503,10 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
         round_env.channel_model = env.channel_model;
         round_env.liveness = mapped.has_value() ? &*mapped : nullptr;
         round_env.scratch = trial_scratch;
-        // Inner round id: (round-in-epoch, batch) flattened. Equals the
-        // constructed cfg.round = b for the historic single-shot case,
-        // and stays nonce-unique within an epoch because the Session
-        // clamps rounds_per_epoch * batches to the 16-bit window.
+        // Inner round id: (round-in-epoch, batch) flattened — batch b
+        // for the historic single-shot case — which stays nonce-unique
+        // within an epoch because the Session clamps
+        // rounds_per_epoch * batches to the 16-bit window.
         round_env.round =
             r_in_epoch * static_cast<std::uint32_t>(
                              group.batch_rounds.size()) +
@@ -591,12 +565,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     }
     out.leader = group.members[lead_local];
     result.leader_reelections += out.leader_reelections;
-    // Classic mode books from t=0 (finish_us relative to the round
-    // start); pipelined mode books at the absolute channel start, so
-    // finish_us lands on the trial clock.
-    const SimTime start = timeline.book(group.channel, out.duration_us,
-                                        pipelined ? env.start_time_us : 0);
-    out.finish_us = start + out.duration_us;
+    timeline.book(group.channel, out.duration_us, env.start_time_us);
     groups_end_abs = std::max(groups_end_abs, ch_start_abs + out.duration_us);
   }
   result.group_phase_us = groups_end_abs - env.start_time_us;
@@ -618,15 +587,13 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     bool complete;  // every contributing group's sum was correct
     std::vector<char> holders;  // nodes provably holding this sum
   };
-  // Recombination and the result flood run on one lane. Classic mode:
-  // right after the group phase. Pipelined mode: the dedicated flood
-  // channel beyond the group channels, which may still be draining the
-  // previous round's floods — the group phases of consecutive rounds
+  // Recombination and the result flood run on the flood lane after the
+  // group phase; in a pipelined campaign that lane may still be draining
+  // the previous round's floods — the group phases of consecutive rounds
   // overlap with it, the floods themselves serialize.
   const std::uint16_t flood_ch = config_.num_channels;
   const SimTime flood_base_abs =
-      pipelined ? std::max(timeline.channel_end_us(flood_ch), groups_end_abs)
-                : groups_end_abs;
+      std::max(timeline.channel_end_us(flood_ch), groups_end_abs);
 
   std::vector<Partial> active;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -644,10 +611,8 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   }
   bool all_groups_in = active.size() == result.groups.size();
 
-  const auto closer_to_center = [&](NodeId a, NodeId b) {
-    const std::uint32_t ha = topo_->hops(a, topo_->center_node());
-    const std::uint32_t hb = topo_->hops(b, topo_->center_node());
-    return ha != hb ? ha < hb : a < b;
+  const auto to_center = [&](NodeId i) {
+    return topo_->hops(i, topo_->center_node());
   };
 
   // Hand a partial to its most central up deputy when its leader is
@@ -658,16 +623,10 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     if (env.liveness == nullptr || !env.liveness->is_down(p.leader, t)) {
       return;
     }
-    NodeId best = kInvalidNode;
-    std::uint32_t best_h = net::Topology::kInvalidHops;
-    for (NodeId i = 0; i < n; ++i) {
-      if (p.holders[i] == 0 || env.liveness->is_down(i, t)) continue;
-      const std::uint32_t h = topo_->hops(i, topo_->center_node());
-      if (h < best_h || (h == best_h && i < best)) {
-        best_h = h;
-        best = i;
-      }
-    }
+    const NodeId best = elect_closest(
+        node_ids(n), to_center, [&](NodeId i) {
+          return p.holders[i] != 0 && !env.liveness->is_down(i, t);
+        });
     if (best != kInvalidNode && best != p.leader) {
       p.leader = best;
       ++result.leader_reelections;
@@ -679,7 +638,9 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     for (std::size_t i = 0; i + 1 < active.size(); i += 2) {
       Partial& a = active[i];
       Partial& b = active[i + 1];
-      const bool a_survives = closer_to_center(a.leader, b.leader);
+      const bool a_survives =
+          elect_closest(std::array{a.leader, b.leader}, to_center,
+                        [](NodeId) { return true; }) == a.leader;
       Partial& surv = a_survives ? a : b;
       Partial& sender = a_survives ? b : a;
 
@@ -771,12 +732,11 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   result.total_duration_us =
       result.group_phase_us + result.recombine_us + result.flood_us;
   result.round_end_us = flood_base_abs + result.recombine_us + result.flood_us;
-  if (pipelined) {
-    // Serialize this round's floods on the shared lane so the next
-    // round's recombination waits for them (its group phase does not).
-    timeline.book(flood_ch, result.recombine_us + result.flood_us,
-                  flood_base_abs);
-  }
+  // Serialize this round's floods on the flood lane so a pipelined
+  // campaign's next recombination waits for them (its group phase does
+  // not).
+  timeline.book(flood_ch, result.recombine_us + result.flood_us,
+                flood_base_abs);
 
   const SimTime prefix_us =
       (flood_base_abs - env.start_time_us) + result.recombine_us;

@@ -118,8 +118,6 @@ struct GroupOutcome {
   field::Fp61 sum;
   /// Serialized on-channel time of this group's rounds.
   SimTime duration_us = 0;
-  /// When the group's last round finished on the shared timeline.
-  SimTime finish_us = 0;
 };
 
 struct HierarchicalResult {
@@ -140,8 +138,8 @@ struct HierarchicalResult {
   SimTime recombine_us = 0;    // sum of recombination-level rounds
   SimTime flood_us = 0;        // result flood
   SimTime total_duration_us = 0;
-  /// Absolute trial-clock bounds of the round. In the classic
-  /// (non-pipelined) mode round_end_us - round_start_us equals
+  /// Absolute trial-clock bounds of the round. Without a campaign
+  /// timeline (sequential rounds) round_end_us - round_start_us equals
   /// total_duration_us; in a pipelined campaign the end can sit later
   /// when the shared flood lane is still draining a previous round.
   SimTime round_start_us = 0;
@@ -182,8 +180,9 @@ struct HierWorkspace {
   RoundWorkspace flat;       // inner SSS batch rounds
   ct::RoundContext scratch;  // chain/flood engine scratch
   HierarchicalResult result;
-  /// Channel timeline of a classic (non-pipelined) run; pipelined
-  /// campaigns bring their own persistent timeline via RoundEnv.
+  /// Channel timeline (group channels + flood lane) of a round that gets
+  /// none from its campaign, cleared each round; pipelined campaigns
+  /// bring their own persistent timeline via RoundEnv.
   ct::ChannelTimeline local_timeline{1};
   std::vector<field::Fp61> batch_secrets;
   std::vector<std::vector<char>> deputies;
@@ -233,10 +232,11 @@ class HierarchicalProtocol {
   /// flood re-elect among the *deputies* of a partial sum — the nodes
   /// that provably hold the same value (reconstructed every batch, or
   /// heard the merging floods). A partial whose holders are all down is
-  /// lost for the round, exactly like an exhausted retry. A Session
-  /// timeline (env.timeline) switches the group phase and the
-  /// recombination/result floods to absolute channel bookings that
-  /// overlap across campaign rounds.
+  /// lost for the round, exactly like an exhausted retry. Group rounds
+  /// and the recombination/result floods book absolute times on a
+  /// channel timeline: a pipelined campaign's persistent one
+  /// (env.timeline), whose bookings overlap across campaign rounds, or
+  /// else the workspace's, cleared each round.
   const HierarchicalResult& run_round(const std::vector<field::Fp61>& secrets,
                                       sim::Simulator& sim, const RoundEnv& env,
                                       HierWorkspace& ws) const;

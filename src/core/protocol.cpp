@@ -1,9 +1,7 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "core/bootstrap.hpp"
@@ -35,27 +33,16 @@ NodeId pick_phase_initiator(const net::Topology& topo, NodeId preferred,
                             const std::vector<char>& dead,
                             const net::LivenessModel* liveness = nullptr,
                             SimTime at_us = 0) {
-  NodeId best = kInvalidNode;
-  std::uint32_t best_h = net::Topology::kInvalidHops;
-  NodeId fallback = kInvalidNode;
-  std::uint32_t fallback_h = net::Topology::kInvalidHops;
   // One hop row for the preferred source (row[preferred] == 0): on the
   // sparse tier this is a single BFS, not |candidates| point queries.
   const std::uint32_t* hops_row = topo.hops_from(preferred);
-  for (NodeId c : candidates) {
-    if (dead[c]) continue;
-    const std::uint32_t h = hops_row[c];
-    if (h < fallback_h || (h == fallback_h && c < fallback)) {
-      fallback_h = h;
-      fallback = c;
-    }
-    if (liveness != nullptr && liveness->is_down(c, at_us)) continue;
-    if (h < best_h || (h == best_h && c < best)) {
-      best_h = h;
-      best = c;
-    }
-  }
-  if (best != kInvalidNode) return best;
+  const auto hops = [hops_row](NodeId c) { return hops_row[c]; };
+  const NodeId up = elect_closest(candidates, hops, [&](NodeId c) {
+    return !dead[c] && (liveness == nullptr || !liveness->is_down(c, at_us));
+  });
+  if (up != kInvalidNode) return up;
+  const NodeId fallback =
+      elect_closest(candidates, hops, [&](NodeId c) { return !dead[c]; });
   MPCIOT_REQUIRE(fallback != kInvalidNode,
                  "protocol: no live node can initiate the phase");
   return fallback;
@@ -157,13 +144,9 @@ const AggregationResult& SssProtocol::run_round(
   const std::size_t num_holders = config_.share_holders.size();
   const std::size_t k = config_.degree;
 
-  // Session round/nonce ids: the constructed base round unless a
-  // Session override rides the environment. The wire (and the cold
-  // adversary derivations) carry the low 16 bits; the Session rotates
-  // the key epoch before that window can wrap, so a (key, wire round)
-  // pair is never reused.
-  const std::uint32_t session_round =
-      env.round == RoundEnv::kInheritRound ? config_.round : env.round;
+  // Session round/nonce ids. The wire (and the cold adversary
+  // derivations) carry the low 16 bits.
+  const std::uint32_t session_round = env.round;
   const std::uint16_t wire_round =
       static_cast<std::uint16_t>(session_round & 0xFFFFu);
   const crypto::KeyStore& keys = env.keys != nullptr ? *env.keys : *keys_;
@@ -491,51 +474,21 @@ const AggregationResult& SssProtocol::run_round(
   // A holder with no live sum cannot inject its entry: model by marking
   // the holder disabled iff dead (a live holder with a partial sum still
   // transmits; receivers filter by the contributor bitmap).
-  // Usable entries for the done-predicate: the largest group of live
-  // holders with identical contributor sets. The common case — every
-  // valid holder heard the same contributor set — needs no grouping at
-  // all; the hash-map tally only runs on genuinely mixed rounds. Its
-  // ties (equal count and popcount) go to whichever mask std::unordered_map
-  // iterates first, so the goldens depend on libstdc++'s hash layout: at
-  // seed 1, adversary_sweep has 31 such ties and dynamics_sweep 2, and a
-  // smallest-mask rule would flip 22 and 2 of them. Left as is because
-  // an order-free rule changes a golden.
-  std::uint64_t best_mask = 0;
-  {
-    bool mixed = false;
-    bool any = false;
-    for (std::size_t h = 0; h < num_holders && !mixed; ++h) {
-      if (!ws.holder_valid[h]) continue;
-      if (!any) {
-        best_mask = ws.holder_pkt[h].contributors;
-        any = true;
-      } else if (ws.holder_pkt[h].contributors != best_mask) {
-        mixed = true;
-      }
-    }
-    if (mixed) {
-      std::unordered_map<std::uint64_t, std::uint32_t> group_size;
-      for (std::size_t h = 0; h < num_holders; ++h) {
-        if (ws.holder_valid[h]) ++group_size[ws.holder_pkt[h].contributors];
-      }
-      best_mask = 0;
-      std::uint32_t best_count = 0;
-      for (const auto& [mask, count] : group_size) {
-        const int pc = std::popcount(mask);
-        if (count > best_count ||
-            (count == best_count && pc > std::popcount(best_mask))) {
-          best_count = count;
-          best_mask = mask;
-        }
-      }
-    }
+  // Usable entries for the done-predicate: the sums carrying the mask
+  // the round kernel would reconstruct from, picked by the same rule
+  // over every valid holder's broadcast mask.
+  ws.holder_mask.resize(num_holders);
+  for (std::size_t h = 0; h < num_holders; ++h) {
+    ws.holder_mask[h] = ws.holder_pkt[h].contributors;
   }
+  const std::optional<roles::MaskChoice> best =
+      roles::choose_mask(ws.holder_valid, ws.holder_mask, k + 1);
   // Completion counts only sums a verifying receiver would accept: with
   // VSS on nodes verify point-sums on reception, so a known-bad sum does
   // not count toward the k+1 threshold and the radio stays on longer.
   ws.usable_mask.assign((num_holders + 63) / 64, 0);
-  for (std::size_t h = 0; h < num_holders; ++h) {
-    if (ws.holder_valid[h] && ws.holder_pkt[h].contributors == best_mask &&
+  for (std::size_t h = 0; best && h < num_holders; ++h) {
+    if (ws.holder_valid[h] && ws.holder_mask[h] == best->mask &&
         !ws.sum_bad[h]) {
       ct::bit_set(ws.usable_mask.data(), h);
     }

@@ -53,9 +53,9 @@ class HierarchicalProtocol;
 /// channel model, and its crash/recover schedule. All-null at time 0 is
 /// the static world and reproduces frozen-topology rounds bit for bit.
 ///
-/// The session seam (scratch reuse, round/nonce overrides, epoch keys,
-/// the pipelined-campaign timeline) is private: only core::Session and
-/// the protocol engines can touch it, so external callers can no longer
+/// The session seam (scratch reuse, round ids, epoch keys, the
+/// pipelined-campaign timeline) is private: only core::Session and the
+/// protocol engines can touch it, so external callers can no longer
 /// desynchronize the AES-CTR nonce counter from the round sequence.
 struct RoundEnv {
   SimTime start_time_us = 0;
@@ -68,17 +68,16 @@ struct RoundEnv {
   friend class SssProtocol;
   friend class HierarchicalProtocol;
 
-  /// "No session override": the engine falls back to the constructed
-  /// ProtocolConfig::round.
-  static constexpr std::uint32_t kInheritRound = 0xFFFFFFFFu;
-
   /// Caller-owned scratch shared across the trial's rounds: buffers are
   /// reused and, with a channel model, the epoch-walked ChannelView
   /// continues from round to round instead of replaying the dynamics
   /// chain from epoch 0 (see ct::RoundContext).
   ct::RoundContext* scratch = nullptr;
-  /// Session round override (keys nonces and dealer DRBG streams).
-  std::uint32_t round = kInheritRound;
+  /// Round index within the key epoch, set by core::Session for every
+  /// round (keys nonces and dealer DRBG streams). The wire carries its
+  /// low 16 bits; the Session rotates the key epoch before that window
+  /// can wrap, so a (key, wire round) pair is never reused.
+  std::uint32_t round = 0;
   /// AES key epoch the round runs under (0 = the construction keystore).
   std::uint32_t key_epoch = 0;
   /// Epoch-rotated keystore override; null = the construction keystore.
@@ -86,6 +85,7 @@ struct RoundEnv {
   /// Pipelined-campaign mode (hierarchical only): a persistent timeline
   /// whose channel bookings carry over between rounds, letting round
   /// r+1's group phase start while round r's recombination floods drain.
+  /// Null: the round books on a cleared timeline of its own.
   ct::ChannelTimeline* timeline = nullptr;
 };
 
@@ -100,14 +100,6 @@ struct ProtocolConfig {
   std::size_t degree = 1;
   std::uint32_t ntx_sharing = 6;
   std::uint32_t ntx_reconstruction = 6;
-  /// Base round counter (keys the AES-CTR nonces; reuse across rounds
-  /// with the same key would break confidentiality). Widened from u16:
-  /// the wire carries round & 0xFFFF, and core::Session rotates the key
-  /// epoch before the 16-bit window can wrap, so a (key, wire round)
-  /// pair is never reused — the u16 counter silently aliased nonces
-  /// after 65,536 rounds. Fixed at construction; only a Session may
-  /// override it per round (privately, via RoundEnv).
-  std::uint32_t round = 0;
   NodeId initiator = 0;
   /// S4's energy optimization: radios off once NTX spent and local
   /// completion reached.
@@ -206,6 +198,7 @@ struct RoundWorkspace {
   std::vector<field::Fp61> share_matrix; // [s * num_holders + h] = P_s(x_h)
   std::vector<SumPacket> holder_pkt;     // stage 1b: what each holder sends
   std::vector<char> holder_valid;
+  std::vector<std::uint64_t> holder_mask;  // holder_pkt[h].contributors
   std::vector<char> sum_bad;
   std::vector<std::uint64_t> usable_mask;
   std::size_t recon_threshold = 0;

@@ -37,6 +37,35 @@ void validate(const RoundSpec& spec) {
                  "RoundSpec: duplicate holder");
 }
 
+std::optional<MaskChoice> choose_mask(std::span<const char> present,
+                                      std::span<const std::uint64_t> masks,
+                                      std::size_t threshold) {
+  MPCIOT_REQUIRE(present.size() == masks.size(),
+                 "choose_mask: one mask per presence flag");
+  // Holder lists are <= a group, so the quadratic scan is cheap; once a
+  // mask has been counted its later entries are skipped, so the common
+  // all-equal round is linear.
+  std::optional<MaskChoice> best;
+  int best_pop = -1;
+  for (std::size_t h = 0; h < present.size(); ++h) {
+    if (!present[h]) continue;
+    const std::uint64_t m = masks[h];
+    if (best && m == best->mask) continue;
+    std::uint32_t count = 0;
+    for (std::size_t k = h; k < present.size(); ++k) {
+      if (present[k] && masks[k] == m) ++count;
+    }
+    if (count < threshold) continue;
+    const int pop = std::popcount(m);
+    if (!best || pop > best_pop || (pop == best_pop && count > best->count) ||
+        (pop == best_pop && count == best->count && m < best->mask)) {
+      best = MaskChoice{m, count};
+      best_pop = pop;
+    }
+  }
+  return best;
+}
+
 std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
                                     NodeId node) {
   const auto it = std::find(list.begin(), list.end(), node);
@@ -174,31 +203,10 @@ std::optional<AggregateOutcome> AggregatorRole::try_reconstruct(
     field::LagrangeScratch& scratch) const {
   const std::size_t threshold = spec_->degree + 1;
   const std::vector<NodeId>& holders = spec_->holders;
-  // Pick the winning mask: maximal popcount, then maximal count of sums
-  // carrying it, then numerically smallest. Holder lists are <= a group,
-  // so the quadratic scan is cheap; once a mask has been counted its
-  // later sums are skipped, so the common all-equal round is linear.
-  std::uint64_t best_mask = 0;
-  std::size_t best_count = 0;
-  int best_pop = -1;
-  for (std::size_t h = 0; h < seen_.size(); ++h) {
-    if (!seen_[h]) continue;
-    const std::uint64_t m = masks_[h];
-    if (best_pop >= 0 && m == best_mask) continue;
-    std::size_t count = 0;
-    for (std::size_t k = h; k < seen_.size(); ++k) {
-      if (seen_[k] && masks_[k] == m) ++count;
-    }
-    if (count < threshold) continue;
-    const int pop = std::popcount(m);
-    if (pop > best_pop || (pop == best_pop && count > best_count) ||
-        (pop == best_pop && count == best_count && m < best_mask)) {
-      best_mask = m;
-      best_count = count;
-      best_pop = pop;
-    }
-  }
-  if (best_pop < 0) return std::nullopt;
+  const std::optional<MaskChoice> best =
+      choose_mask(seen_, masks_, threshold);
+  if (!best) return std::nullopt;
+  const std::uint64_t best_mask = best->mask;
 
   // Interpolate the winning mask's `threshold` sums with the smallest
   // holder ids (spec.holders is not necessarily sorted): repeated
@@ -220,7 +228,7 @@ std::optional<AggregateOutcome> AggregatorRole::try_reconstruct(
   out.aggregate = field::interpolate_at_zero(scratch.samples, scratch);
   out.contributor_mask = best_mask;
   out.sums_used = static_cast<std::uint32_t>(threshold);
-  out.consistent_sums = static_cast<std::uint32_t>(best_count);
+  out.consistent_sums = best->count;
   return out;
 }
 

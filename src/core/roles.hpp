@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -57,6 +58,22 @@ void validate(const RoundSpec& spec);
 /// Index of `node` in `list`, or nullopt.
 std::optional<std::size_t> index_of(const std::vector<NodeId>& list,
                                     NodeId node);
+
+/// A contributor mask chosen among point-sums, and how many carry it.
+struct MaskChoice {
+  std::uint64_t mask = 0;
+  std::uint32_t count = 0;
+};
+
+/// The round's one mask rule, used by both the simulator's stage-2
+/// done-predicate and every reconstruction: among the masks carried by
+/// >= `threshold` present entries (masks[i] counts iff present[i] is
+/// non-zero), the largest popcount, then the most entries, then the
+/// numerically smallest mask. nullopt when no mask reaches the
+/// threshold. Independent of entry order; allocation-free.
+std::optional<MaskChoice> choose_mask(std::span<const char> present,
+                                      std::span<const std::uint64_t> masks,
+                                      std::size_t threshold);
 
 /// Dealer side: shares `secret` out to the spec's holders.
 class SourceRole {
@@ -168,13 +185,11 @@ class AggregatorRole {
   /// no-failure fast path: reconstruction cannot improve further).
   bool full_mask_threshold() const;
 
-  /// Reconstruct from the best mask having >= degree+1 identical-mask
-  /// sums: maximal popcount, then maximal sum count, then numerically
-  /// smallest mask; the degree+1 sums of the winning mask with the
-  /// smallest holder ids are interpolated, making the outcome (value
-  /// AND bookkeeping) independent of arrival order. nullopt while no
-  /// mask reaches the threshold. Allocation-free once `scratch` is
-  /// warm.
+  /// Reconstruct from the choose_mask winner at threshold degree+1: the
+  /// degree+1 sums of the winning mask with the smallest holder ids are
+  /// interpolated, making the outcome (value AND bookkeeping)
+  /// independent of arrival order. nullopt while no mask reaches the
+  /// threshold. Allocation-free once `scratch` is warm.
   std::optional<AggregateOutcome> try_reconstruct(
       field::LagrangeScratch& scratch) const;
 

@@ -53,10 +53,6 @@ struct RadioParams {
   /// other).
   double tx_defer_prob = 0.15;
 
-  // --- energy (for radio-on -> charge conversions in reports) ---
-  double rx_current_ma = 6.5;  // nRF52840 radio RX @ 0 dBm class
-  double tx_current_ma = 8.5;
-
   /// Airtime of a packet with `payload_bytes` of MAC payload.
   SimTime airtime_us(std::uint32_t payload_bytes) const {
     return static_cast<SimTime>(

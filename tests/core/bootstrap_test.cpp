@@ -55,6 +55,26 @@ TEST(ElectShareHolders, SubsetSourcesBiasTowardThem) {
   EXPECT_LE(holders[0], 2u);
 }
 
+TEST(ElectClosest, SkipsIneligibleBreaksTiesBySmallerIdAndMayFindNone) {
+  // Hops by node id: 6 is closest, then 3/5/8 tie at one hop.
+  const std::vector<std::uint32_t> hops{9, 2, 9, 1, 9, 1, 0, 9, 1};
+  const std::vector<NodeId> candidates{5, 8, 3, 1, 6};
+  const auto hops_of = [&](NodeId c) { return hops[c]; };
+  std::size_t asked = 0;
+  const auto all_but_6 = [&](NodeId c) {
+    ++asked;
+    return c != 6;
+  };
+  // 6 is ineligible; of the one-hop tie, the smaller id wins whatever
+  // the candidate order.
+  EXPECT_EQ(elect_closest(candidates, hops_of, all_but_6), NodeId{3});
+  EXPECT_EQ(asked, candidates.size());  // one eligibility query each
+  EXPECT_EQ(elect_closest(candidates, hops_of, [](NodeId) { return true; }),
+            NodeId{6});
+  EXPECT_EQ(elect_closest(candidates, hops_of, [](NodeId) { return false; }),
+            kInvalidNode);
+}
+
 TEST(ProbeReachability, SelfIsZeroAndNeighborsReachableAtLowNtx) {
   const net::Topology topo = make_line(4);
   crypto::Xoshiro256 rng(3);

@@ -152,7 +152,7 @@ TEST(Roles, MatchesTheSimulatorForTheSameSecrets) {
   spec.degree = cfg.degree;
   AggregatorRole agg(spec);
   const auto out = run_roles_round(
-      spec, static_cast<std::uint16_t>(cfg.round), secrets, keys, agg);
+      spec, /*round=*/0, secrets, keys, agg);  // the session's first round
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->aggregate, sim_result.expected_sum);
   EXPECT_EQ(out->aggregate, sim_result.nodes[0].aggregate);
@@ -297,6 +297,50 @@ TEST(Roles, EqualContributorCountsBreakTiesByMoreSumsThenSmallerMask) {
       EXPECT_EQ(out->sums_used, 2u);
       EXPECT_EQ(out->aggregate, c.aggregate);
     }
+  }
+}
+
+TEST(Roles, ChooseMaskRuleTable) {
+  // The one mask rule, on (present, mask) columns. Masks are listed so
+  // that a count-first rule, or one broken by first-seen order, would
+  // pick differently.
+  struct Case {
+    const char* name;
+    std::vector<char> present;
+    std::vector<std::uint64_t> masks;
+    std::size_t threshold;
+    std::optional<MaskChoice> want;
+  };
+  const std::vector<Case> cases = {
+      {"no mask reaches the threshold",
+       {1, 1, 1, 1, 0},
+       {0b011, 0b011, 0b101, 0b111, 0b011},
+       3,
+       std::nullopt},
+      {"popcount beats count",
+       {1, 1, 1, 1, 1, 1, 1},
+       {0b0111, 0b0111, 0b1111, 0b0111, 0b1111, 0b0111, 0b1111},
+       3,
+       MaskChoice{0b1111, 3}},
+      {"equal count and popcount: smaller mask",
+       {1, 1, 1, 1, 1, 1},
+       {0b110, 0b011, 0b110, 0b011, 0b110, 0b011},
+       3,
+       MaskChoice{0b011, 3}},
+      {"every holder has the same mask",
+       {1, 1, 1, 1, 1},
+       {0b111, 0b111, 0b111, 0b111, 0b111},
+       3,
+       MaskChoice{0b111, 5}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::optional<MaskChoice> got =
+        choose_mask(c.present, c.masks, c.threshold);
+    ASSERT_EQ(got.has_value(), c.want.has_value());
+    if (!got) continue;
+    EXPECT_EQ(got->mask, c.want->mask);
+    EXPECT_EQ(got->count, c.want->count);
   }
 }
 

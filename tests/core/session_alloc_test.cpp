@@ -115,6 +115,51 @@ TEST(SessionAllocation, S3SteadyStateAllocatesNothingToo) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 
+/// Churn schedule with one node down for good.
+class DownForGood final : public net::LivenessModel {
+ public:
+  explicit DownForGood(NodeId node) : node_(node) {}
+  bool is_down(NodeId node, SimTime /*t*/) const override {
+    return node == node_;
+  }
+
+ private:
+  NodeId node_;
+};
+
+TEST(SessionAllocation, SplitHolderMasksAllocateNothing) {
+  // A holder that is churn-down all round collects no share, so its
+  // broadcast mask differs from every other holder's: stage 2 picks the
+  // done-predicate mask among mixed masks on every round.
+  const net::Topology topo = make_grid9();
+  const crypto::KeyStore keys(1, topo.size());
+  std::vector<NodeId> sources(topo.size());
+  for (NodeId i = 0; i < topo.size(); ++i) sources[i] = i;
+  const ProtocolConfig cfg = make_s4_config(topo, sources, 2, 5);
+  const SssProtocol s4(topo, keys, cfg);
+  const NodeId down =
+      cfg.share_holders.front() != cfg.initiator ? cfg.share_holders.front()
+                                                 : cfg.share_holders.back();
+  const DownForGood churn(down);
+  sim::Simulator sim(11);
+  sim.set_liveness(&churn);
+  Session session(s4);
+  std::vector<Fp61> secrets(sources.size(), Fp61{42});
+
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_TRUE(session.run_round(secrets, sim).ok);
+  }
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int r = 0; r < 4; ++r) {
+    const RoundReport& rep = session.run_round(secrets, sim);
+    ASSERT_TRUE(rep.ok);
+    // Every holder but the down one completes: two masks in play.
+    EXPECT_EQ(rep.flat->complete_holders, cfg.share_holders.size() - 1);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "a warm round over split holder masks must not touch the heap";
+}
+
 TEST(RoleAllocation, WarmAggregatorReconstructsMixedMasksWithoutAllocating) {
   // reset -> accept -> try_reconstruct on a warm AggregatorRole over a
   // mixed-mask set (a source missing at two of five holders, holders out
