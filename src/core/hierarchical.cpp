@@ -330,12 +330,16 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   MPCIOT_REQUIRE(timeline.num_channels() > config_.num_channels,
                  "hierarchical: a campaign timeline needs a flood lane "
                  "beyond the group channels");
-  // One scratch context for the whole trial: every group round and
-  // recombination/result flood reuses its buffers, and with a channel
-  // model the epoch-walked view continues across the rounds that share
-  // a topology instead of replaying the dynamics chain from epoch 0.
+  // One scratch context per topology, kept for the whole trial: the
+  // trial context serves the full-topology floods, group g's context
+  // every round on its subtopology. A context is only ever rebound to
+  // its own topology, so with a channel model each view continues its
+  // epoch walk from round to round instead of replaying the dynamics
+  // chain from epoch 0 (the views' clocks only move forward: a group's
+  // rounds serialize on its channel, the floods on the flood lane).
   ct::RoundContext* const trial_scratch =
       env.scratch != nullptr ? env.scratch : &ws.scratch;
+  ws.group_scratch.resize(groups_.size());
   // Deputies per group: members that reconstructed every accepted batch
   // round with the leader's value — under churn they are the nodes a
   // dead leader's duties can hand off to, because they provably hold
@@ -345,6 +349,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   SimTime groups_end_abs = env.start_time_us;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     const Group& group = groups_[g];
+    ct::RoundContext* const group_scratch = &ws.group_scratch[g];
     GroupOutcome& out = result.groups[g];
     out.channel = group.channel;
     out.batches = static_cast<std::uint32_t>(group.batch_rounds.size());
@@ -412,7 +417,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
         nenv.start_time_us = t0;
         nenv.channel_model = env.channel_model;
         nenv.liveness = mapped.has_value() ? &*mapped : nullptr;
-        nenv.scratch = trial_scratch;
+        nenv.scratch = group_scratch;
         nenv.round = r_in_epoch;
         nenv.key_epoch = epoch;
         const HierarchicalResult& nres = group.nested->run_round(
@@ -502,7 +507,7 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
         round_env.start_time_us = t0;
         round_env.channel_model = env.channel_model;
         round_env.liveness = mapped.has_value() ? &*mapped : nullptr;
-        round_env.scratch = trial_scratch;
+        round_env.scratch = group_scratch;
         // Inner round id: (round-in-epoch, batch) flattened — batch b
         // for the historic single-shot case — which stays nonce-unique
         // within an epoch because the Session clamps

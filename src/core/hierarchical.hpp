@@ -177,8 +177,16 @@ struct HierarchicalResult {
 /// inner round re-initializes what it uses, so one workspace serves any
 /// group shape.
 struct HierWorkspace {
-  RoundWorkspace flat;       // inner SSS batch rounds
-  ct::RoundContext scratch;  // chain/flood engine scratch
+  RoundWorkspace flat;  // inner SSS batch rounds
+  /// Chain/flood engine scratch, one context per topology for the whole
+  /// trial, so each ChannelView walks the dynamics chain forward once
+  /// instead of replaying it from epoch 0 on every rebind: `scratch`
+  /// serves the full-topology recombination and result floods (unless
+  /// the caller passes its own), `group_scratch[g]` everything group g
+  /// runs on its subtopology — batch rounds, retries, handed-off
+  /// leaders and a nested subtree's floods.
+  ct::RoundContext scratch;
+  std::vector<ct::RoundContext> group_scratch;
   HierarchicalResult result;
   /// Channel timeline (group channels + flood lane) of a round that gets
   /// none from its campaign, cleared each round; pipelined campaigns

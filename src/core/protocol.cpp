@@ -269,10 +269,11 @@ const AggregationResult& SssProtocol::run_round(
     }
   }
 
-  // One context serves every phase of the round (and, when a Session or
-  // composition layer provides one, the whole trial): buffers are
-  // reused and the epoch-walked channel view continues instead of
-  // replaying the dynamics chain from 0.
+  // One context serves every phase of the round and, kept across rounds
+  // (the workspace's own, or one per topology from a composition layer),
+  // the whole trial: buffers are reused and the epoch-walked channel
+  // view continues from round to round instead of replaying the
+  // dynamics chain from 0.
   ct::RoundContext* const round_scratch =
       env.scratch != nullptr ? env.scratch : &ws.ct;
 

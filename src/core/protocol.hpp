@@ -68,10 +68,11 @@ struct RoundEnv {
   friend class SssProtocol;
   friend class HierarchicalProtocol;
 
-  /// Caller-owned scratch shared across the trial's rounds: buffers are
-  /// reused and, with a channel model, the epoch-walked ChannelView
+  /// Caller-owned scratch kept across the trial's rounds on this
+  /// round's topology (HierarchicalProtocol keeps one per group): buffers
+  /// are reused and, with a channel model, the epoch-walked ChannelView
   /// continues from round to round instead of replaying the dynamics
-  /// chain from epoch 0 (see ct::RoundContext).
+  /// chain from epoch 0 (see ct::RoundContext). Null: the workspace's.
   ct::RoundContext* scratch = nullptr;
   /// Round index within the key epoch, set by core::Session for every
   /// round (keys nonces and dealer DRBG streams). The wire carries its

@@ -129,9 +129,10 @@ struct MiniCastConfig {
   /// seams below; a fully static round may leave it 0.
   SimTime start_time_us = 0;
   /// Time-varying channel the round runs under; null = the topology's
-  /// frozen snapshot. The engine seeks a cached per-round view once per
-  /// chain slot and re-materializes rows only when the model's epoch
-  /// advances, so the bitmap hot path is untouched between epochs.
+  /// frozen snapshot. The engine seeks the context's cached view once
+  /// per chain slot and re-materializes rows only when the model's epoch
+  /// advances (or a rebind left them stale), so the bitmap hot path is
+  /// untouched between epochs.
   const net::ChannelModel* channel_model = nullptr;
   /// Node crash/recover schedule; null = no churn. A node down for a
   /// chain slot neither transmits nor listens and is charged no
@@ -178,7 +179,10 @@ struct MiniCastResult {
 
 /// Reusable scratch for the chain engine. One context serves any number
 /// of sequential rounds over any topologies; buffers grow to the largest
-/// round seen and are reused thereafter.
+/// round seen and are reused thereafter. Under a channel model, keep one
+/// context per topology for the trial: rebinding the view to another
+/// topology resets its epoch walk, so alternating topologies through
+/// one context replays the dynamics chain from epoch 0 on every round.
 struct RoundContext {
   std::vector<std::uint64_t> have;           // n x entry-words bitmaps
   std::vector<std::uint64_t> entry_senders;  // node-words: current sub-slot

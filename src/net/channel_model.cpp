@@ -7,10 +7,10 @@ namespace mpciot::net {
 
 void ChannelView::bind(const Topology& topo, const ChannelModel* model) {
   // Rebinding the same (topo, model) keeps the walked chain state: a
-  // trial is a sequence of rounds with (mostly) increasing start times,
-  // so the next round's first seek usually continues the walk instead
-  // of replaying it from epoch 0. (A backwards seek after such a rebind
-  // restarts the walk — see seek().)
+  // trial's rounds on one topology have increasing start times, so the
+  // next round's first seek continues the walk instead of replaying it
+  // from epoch 0. (A backwards seek after such a rebind restarts the
+  // walk — see seek().)
   const bool same = topo_ == &topo && model_ == model;
   topo_ = &topo;
   model_ = model;
@@ -42,6 +42,10 @@ void ChannelView::bind(const Topology& topo, const ChannelModel* model) {
   }
   // Same binding with walked state: leave the cursor where it is — the
   // round's first seek() continues (or, if earlier, restarts) the walk.
+  // The pointer may now name a different instance (a per-round jammer
+  // re-emplaced at the same address with a new seed), so the tables
+  // are stale even if that seek lands on the current epoch.
+  stale_ = true;
   point_at_tables();
 }
 
@@ -50,10 +54,10 @@ void ChannelView::seek(SimTime t) {
   const std::uint64_t epoch =
       t <= 0 ? 0 : static_cast<std::uint64_t>(t / model_->epoch_us());
   if (tables_.epoch != LinkEpochTables::kNoEpoch) {
-    if (epoch == tables_.epoch) return;
+    if (epoch == tables_.epoch && !stale_) return;
     if (epoch < tables_.epoch) {
-      // Backwards seek (a later-bound round that starts earlier, e.g. a
-      // group on a less-loaded channel): restart the walk from scratch.
+      // Backwards seek (a rebound view serving a round that starts
+      // before the last one it served): restart the walk from scratch.
       // Epoch state is a pure function of (seed, epoch, link), so this
       // reproduces the exact same tables — it only costs the re-walk.
       tables_.epoch = LinkEpochTables::kNoEpoch;
@@ -64,6 +68,7 @@ void ChannelView::seek(SimTime t) {
   }
   model_->materialize(*topo_, epoch, tables_);
   tables_.epoch = epoch;
+  stale_ = false;
   point_at_tables();
 }
 

@@ -14,12 +14,13 @@
 //    simulated time. A down node's radio is silent: it neither transmits
 //    nor receives, and is charged no radio-on time while down.
 //
-// Model instances are const and thread-safe; all evolving per-round
-// state lives in a `ChannelView`, the per-round cursor the CT hot path
-// reads. The view caches one epoch's materialized tables (receiver-major
-// PRR rows + audibility bitmaps, mirroring Topology's layout) and
-// re-materializes only when the epoch advances, so the bitmap hot loop
-// keeps its contiguous-row reads regardless of the model.
+// Model instances are const and thread-safe; all evolving state lives
+// in a `ChannelView`, the cursor the CT hot path reads (one per
+// topology a trial runs rounds on). The view caches one epoch's
+// materialized tables (receiver-major PRR rows + audibility bitmaps,
+// mirroring Topology's layout) and re-materializes only when the epoch
+// advances, so the bitmap hot loop keeps its contiguous-row reads
+// regardless of the model.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,8 @@ namespace mpciot::net {
 
 /// Materialized link tables for one dynamics epoch, plus the opaque
 /// model state the epoch chain is walked with. Owned by a ChannelView
-/// (one per concurrent round), never by the shared model instance.
+/// (one per topology a trial runs on), never by the shared model
+/// instance.
 struct LinkEpochTables {
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
@@ -86,8 +88,8 @@ class LivenessModel {
   virtual bool is_down(NodeId node, SimTime t) const = 0;
 };
 
-/// Per-round cursor over the (possibly time-varying) channel. Bind it to
-/// a topology + model, seek() it forward as the round's clock advances,
+/// Cursor over the (possibly time-varying) channel. Bind it to a
+/// topology + model, seek() it forward as the round's clock advances,
 /// and read the same row accessors the static Topology exposes. With a
 /// null model every accessor aliases the topology's frozen tables —
 /// zero copies, zero branches in the row reads.
@@ -96,18 +98,21 @@ class ChannelView {
   ChannelView() = default;
 
   /// (Re)bind to a topology and model. Rebinding the same (topology,
-  /// model) pair keeps the walked chain state, so sequential rounds of
-  /// a trial sharing one view (e.g. via a reused RoundContext) continue
-  /// the epoch walk instead of replaying it; any other binding resets
-  /// the cursor (table capacity is kept either way).
+  /// model) pair keeps the walked chain state, so the rounds of a trial
+  /// that share one view per topology (one RoundContext per topology)
+  /// continue the epoch walk instead of replaying it; any other binding
+  /// resets the cursor (table capacity is kept either way). Such a
+  /// rebind marks the cached tables stale: a per-round decorator (e.g.
+  /// a jammer with a fresh seed) may be re-created at the same address,
+  /// so the next seek() re-materializes even an unchanged epoch.
   void bind(const Topology& topo, const ChannelModel* model);
 
   /// Advance to the epoch containing time `t`, re-materializing the
-  /// cached tables when the epoch changed. Forward seeks continue the
-  /// epoch walk; a backwards seek (legal right after a rebind, e.g. a
-  /// round booked earlier on a less-loaded channel) restarts the walk
-  /// from epoch 0 — identical tables, re-walk cost only, since epoch
-  /// state is a pure function of (model seed, epoch, link).
+  /// cached tables when the epoch changed or a rebind left them stale.
+  /// Forward seeks continue the epoch walk; a backwards seek (legal
+  /// right after a rebind) restarts the walk from epoch 0 — identical
+  /// tables, re-walk cost only, since epoch state is a pure function of
+  /// (model seed, epoch, link).
   void seek(SimTime t);
 
   bool dynamic() const { return model_ != nullptr; }
@@ -153,6 +158,9 @@ class ChannelView {
   const double* out_prr_base_ = nullptr;
   const double* in_prr_base_ = nullptr;
   bool sparse_ = false;
+  /// Set by a same-binding rebind: tables_ still describe tables_.epoch
+  /// but may carry the overlay of the model instance bound before.
+  bool stale_ = false;
   std::size_t n_ = 0;
   std::size_t words_ = 0;
 };

@@ -1,17 +1,24 @@
 // core::Campaign: streaming rounds over one warm Session — determinism
 // of the pipelined stream, equivalence of pipelined and sequential
-// round results in a static world, genuine pipeline overlap, and
-// recovery from churn mid-campaign without poisoning the warm state.
+// round results in a static world, genuine pipeline overlap, recovery
+// from churn mid-campaign without poisoning the warm state, and the
+// warm channel views under bursty links and jammers.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "common/assert.hpp"
+#include "core/adversary.hpp"
 #include "core/hierarchical.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
+#include "net/channel_model.hpp"
 #include "net/partition.hpp"
 #include "net/testbeds.hpp"
+#include "sim/dynamics.hpp"
 #include "sim/simulator.hpp"
 
 namespace mpciot::core {
@@ -179,6 +186,140 @@ TEST(Campaign, ChurnMidCampaignRecoversWithoutPoisoningWarmState) {
   EXPECT_EQ(rep.hier->aggregate, expected);
   EXPECT_TRUE(rep.hier->aggregate_correct);
   EXPECT_EQ(rep.hier->success_ratio(), 1.0);
+}
+
+/// Bursty links for the dynamic-world campaigns below: mean burst 8
+/// epochs, 10% stationary bad fraction, mild drift.
+sim::dynamics::LinkDynamicsParams bursty_links() {
+  sim::dynamics::LinkDynamicsParams lp;
+  lp.seed = 0xB0057ull;
+  lp.p_bad_to_good = 1.0 / 8.0;
+  lp.p_good_to_bad = lp.p_bad_to_good * 0.1 / 0.9;
+  lp.bad_extra_loss_db = 12.0;
+  lp.drift_sigma_db = 0.3;
+  return lp;
+}
+
+/// Test double: forwards to an inner model and counts the chain epochs
+/// its callers make it step — epoch - tables.epoch per call, epoch + 1
+/// on a fresh view. Single-threaded use only.
+class CountingChannel final : public net::ChannelModel {
+ public:
+  explicit CountingChannel(const net::ChannelModel& inner) : inner_(inner) {}
+  SimTime epoch_us() const override { return inner_.epoch_us(); }
+  void materialize(const net::Topology& topo, std::uint64_t epoch,
+                   net::LinkEpochTables& tables) const override {
+    steps_ += tables.epoch == net::LinkEpochTables::kNoEpoch
+                  ? epoch + 1
+                  : epoch - tables.epoch;
+    final_epoch_ = std::max(final_epoch_, epoch);
+    inner_.materialize(topo, epoch, tables);
+  }
+  std::uint64_t steps() const { return steps_; }
+  std::uint64_t final_epoch() const { return final_epoch_; }
+
+ private:
+  const net::ChannelModel& inner_;
+  mutable std::uint64_t steps_ = 0;
+  mutable std::uint64_t final_epoch_ = 0;
+};
+
+TEST(Campaign, EachTopologyWalksTheLinkChainOnce) {
+  // Every group keeps its own channel view for the whole campaign and
+  // the full-topology floods keep another, so no view ever replays the
+  // Gilbert–Elliott chain from epoch 0: the epochs stepped stay within
+  // one walk per view. A single view rebound group -> group -> full
+  // topology walks ~(groups + 1) chains per round instead.
+  const net::Topology topo = lossless_grid16();
+  const HierarchicalProtocol proto = make_hier(topo);
+  const sim::dynamics::LinkDynamics links(bursty_links());
+  const CountingChannel counting(links);
+  Session session(proto);
+  Campaign campaign(session, CampaignConfig{/*rounds=*/16,
+                                            /*pipelined=*/true});
+  sim::Simulator sim(57);
+  sim.set_channel_model(&counting);
+  const CampaignResult& res = campaign.run(sim, fill_round);
+  ASSERT_EQ(res.round_ok.size(), 16u);
+  ASSERT_GT(counting.final_epoch(), 16u);  // the walk spans many epochs
+  EXPECT_LE(counting.steps(),
+            (proto.num_groups() + 1) * (counting.final_epoch() + 1));
+}
+
+/// A 12-round hierarchical campaign on the 4-group grid with nodes 5 and
+/// 10 jamming (kJamSlots) at `duty`, in the static world or under
+/// bursty links.
+CampaignResult run_jammed_campaign(double duty, bool dynamic,
+                                   bool pipelined) {
+  const net::Topology topo = lossless_grid16();
+  HierarchicalConfig cfg;
+  cfg.partition = net::partition::grid_blocks(topo, 4);
+  cfg.num_channels = 4;
+  cfg.adversary.kind = AttackKind::kJamSlots;
+  cfg.adversary.attackers = {5, 10};
+  cfg.adversary.seed = 0x4A414Dull;
+  cfg.adversary.jam_duty = duty;
+  const HierarchicalProtocol proto(topo, std::move(cfg));
+  std::optional<sim::dynamics::LinkDynamics> links;
+  sim::Simulator sim(61);
+  if (dynamic) {
+    links.emplace(bursty_links());
+    sim.set_channel_model(&*links);
+  }
+  Session session(proto);
+  Campaign campaign(session, CampaignConfig{/*rounds=*/12, pipelined});
+  return campaign.run(sim, fill_round);
+}
+
+TEST(Campaign, JammedHierarchicalCampaignsArePinnedRoundByRound) {
+  // Every round re-creates its jammers at the same addresses with fresh
+  // seeds while the warm channel views persist, so a view that kept
+  // serving the previous round's jam overlay would shift these rounds.
+  // Expected values: the engine in which a single view was rebound
+  // (and so reset) for every group and flood.
+  struct Case {
+    double duty;
+    bool dynamic;
+    bool pipelined;
+    std::uint32_t rounds_ok;
+    std::vector<SimTime> latency_us;
+  };
+  const std::vector<Case> cases = {
+      {0.3, false, false, 0,
+       {527280, 554848, 518768, 575056, 602096, 509072, 690496, 489616,
+        496944, 512672, 543424, 531008}},
+      {0.3, false, true, 1,
+       {527280, 597840, 525568, 612800, 495184, 506880, 680976, 556080,
+        537344, 557392, 580448, 504880}},
+      {0.3, true, false, 7,
+       {460992, 864160, 973616, 454192, 554848, 694464, 680976, 569856,
+        629296, 1019088, 602096, 621136}},
+      {0.3, true, true, 4,
+       {460992, 829152, 1039728, 540240, 540064, 423744, 680976, 535024,
+        594160, 580512, 614160, 543600}},
+      {0.6, false, false, 0,
+       {622496, 1285424, 1909984, 583232, 731824, 549584, 730064, 544144,
+        638288, 576896, 628944, 593936}},
+      {0.6, false, true, 0,
+       {622496, 643728, 604816, 560464, 691376, 524864, 698656, 548272,
+        722480, 694224, 549584, 639824}},
+      {0.6, true, false, 1,
+       {661232, 1715216, 1268416, 623728, 792272, 1750528, 680976, 1226304,
+        934528, 502160, 1629120, 532544}},
+      {0.6, true, true, 0,
+       {661232, 579376, 1603216, 1134992, 1730064, 1539776, 1499504,
+        1188448, 1728768, 678736, 1209632, 941760}},
+  };
+  for (const Case& c : cases) {
+    const CampaignResult res =
+        run_jammed_campaign(c.duty, c.dynamic, c.pipelined);
+    EXPECT_EQ(res.rounds_ok, c.rounds_ok)
+        << "duty " << c.duty << " dynamic " << c.dynamic << " pipelined "
+        << c.pipelined;
+    EXPECT_EQ(res.round_latency_us, c.latency_us)
+        << "duty " << c.duty << " dynamic " << c.dynamic << " pipelined "
+        << c.pipelined;
+  }
 }
 
 TEST(Campaign, RequiresAtLeastOneRound) {
