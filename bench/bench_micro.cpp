@@ -4,6 +4,9 @@
 // simulated round.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/protocol.hpp"
 #include "core/shamir.hpp"
 #include "crypto/aes_ctr.hpp"
@@ -297,5 +300,38 @@ static void BM_MiniCastRoundFlocklab(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MiniCastRoundFlocklab);
+
+// Host-speed calibration: the compute kernel perfbench scales its
+// figures by (perfbench/src/calibrate.cpp), a fixed table-lookup and
+// floating-point loop unrelated to any ctagg code. tools/perf_gate.py
+// divides each baseline by this benchmark's baseline time and multiplies
+// by its current time, so a baseline recorded on another host compares
+// at this host's speed.
+static void BM_Calibrate(benchmark::State& state) {
+  const auto xorshift = [](std::uint64_t& x) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<double> table(8192);
+  std::uint64_t seed = 88172645463325252ull;
+  for (double& v : table) {
+    v = static_cast<double>(xorshift(seed) >> 11) * 0x1.0p-53;
+  }
+  for (auto _ : state) {
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    double a = 0.0;
+    double b = 0.0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t r = xorshift(x);
+      const double p = table[r & 8191];
+      a = a * 0.999 + (p > 0.5 ? p : p * p);
+      b = b * 0.998 + table[(r >> 20) & 8191] * p;
+    }
+    benchmark::DoNotOptimize(a + b);
+  }
+}
+BENCHMARK(BM_Calibrate);
 
 BENCHMARK_MAIN();

@@ -50,8 +50,9 @@ void SharePacket::encode_into(const crypto::KeyStore& keys,
   put_u16(wire.data() + 4, round);
 
   // Encrypt the 8-byte share value with AES-CTR under the pairwise key.
-  const auto key = keys.pairwise_key(source, destination);
-  const crypto::AesCtr ctr(key);
+  // CTR and CMAC share one expanded key schedule per packet.
+  const crypto::Aes128 cipher(keys.pairwise_key(source, destination));
+  const crypto::AesCtr ctr(cipher);
   std::uint8_t plain[8];
   put_u64(plain, share.value());
   const auto nonce = crypto::AesCtr::make_nonce(source, destination, round,
@@ -60,7 +61,7 @@ void SharePacket::encode_into(const crypto::KeyStore& keys,
             std::span<std::uint8_t>{wire.data() + 6, 8});
 
   // Truncated CMAC over header + ciphertext.
-  const crypto::Cmac mac(key);
+  const crypto::Cmac mac(cipher);
   const auto tag =
       mac.compute(std::span<const std::uint8_t>{wire.data(), 14});
   std::memcpy(wire.data() + 14, tag.data(), 4);
@@ -78,8 +79,8 @@ std::optional<SharePacket> SharePacket::decode(const Bytes& wire,
     return std::nullopt;
   }
 
-  const auto key = keys.pairwise_key(pkt.source, pkt.destination);
-  const crypto::Cmac mac(key);
+  const crypto::Aes128 cipher(keys.pairwise_key(pkt.source, pkt.destination));
+  const crypto::Cmac mac(cipher);
   const auto tag =
       mac.compute(std::span<const std::uint8_t>{wire.data(), 14});
   crypto::Cmac::Tag sent{};
@@ -88,7 +89,7 @@ std::optional<SharePacket> SharePacket::decode(const Bytes& wire,
   std::memcpy(expect.data(), tag.data(), 4);
   if (!crypto::Cmac::verify(sent, expect)) return std::nullopt;
 
-  const crypto::AesCtr ctr(key);
+  const crypto::AesCtr ctr(cipher);
   std::uint8_t plain[8];
   const auto nonce = crypto::AesCtr::make_nonce(pkt.source, pkt.destination,
                                                 pkt.round, /*sequence=*/0);

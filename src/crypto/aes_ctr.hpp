@@ -18,6 +18,9 @@ class AesCtr {
   using Nonce = Aes128::Block;
 
   explicit AesCtr(const Aes128::Key& key) : cipher_(key) {}
+  /// Reuse an expanded key schedule (e.g. one shared with a Cmac under
+  /// the same key) instead of expanding the key again.
+  explicit AesCtr(const Aes128& cipher) : cipher_(cipher) {}
 
   /// XOR `data` with the AES-CTR keystream for (nonce). Encryption and
   /// decryption are the same operation. `out` may alias `data`.

@@ -19,7 +19,9 @@ Aes128::Block shift_xor_rb(const Aes128::Block& in) {
 }
 }  // namespace
 
-Cmac::Cmac(const Aes128::Key& key) : cipher_(key) {
+Cmac::Cmac(const Aes128::Key& key) : Cmac(Aes128(key)) {}
+
+Cmac::Cmac(const Aes128& cipher) : cipher_(cipher) {
   Aes128::Block zero{};
   const Aes128::Block l = cipher_.encrypt_block(zero);
   k1_ = shift_xor_rb(l);

@@ -17,6 +17,9 @@ class Cmac {
   using Tag = Aes128::Block;
 
   explicit Cmac(const Aes128::Key& key);
+  /// Reuse an expanded key schedule (e.g. one shared with an AesCtr
+  /// under the same key) instead of expanding the key again.
+  explicit Cmac(const Aes128& cipher);
 
   /// Compute the 128-bit CMAC tag of `message`.
   Tag compute(std::span<const std::uint8_t> message) const;

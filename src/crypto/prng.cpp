@@ -21,27 +21,9 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream_tag,
   return splitmix64(state);
 }
 
-namespace {
-std::uint64_t rotl64(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next_u64() {
-  const std::uint64_t result = rotl64(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl64(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
@@ -55,10 +37,6 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
   return v % bound;
 }
 
-double Xoshiro256::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 field::Fp61 Xoshiro256::next_fp61() {
   // Draw 61 bits; reject the single out-of-range value p (= 2^61 - 1).
   std::uint64_t v;
@@ -66,12 +44,6 @@ field::Fp61 Xoshiro256::next_fp61() {
     v = next_u64() >> 3;
   } while (v >= field::Fp61::kModulus);
   return field::Fp61{v};
-}
-
-bool Xoshiro256::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 CtrDrbg::CtrDrbg(const Aes128::Key& seed_key, std::uint64_t personalization)

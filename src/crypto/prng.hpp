@@ -11,6 +11,7 @@
 // Both expose uniform Fp61 sampling via rejection (no modulo bias).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "crypto/aes128.hpp"
@@ -34,24 +35,62 @@ std::uint64_t splitmix64(std::uint64_t& state);
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream_tag,
                           std::uint64_t index);
 
-/// xoshiro256** — the simulator's statistical PRNG.
+/// xoshiro256** — the simulator's statistical PRNG. The draw path
+/// (next_u64 / next_double / next_bool) is defined inline: the chain
+/// engine, gossip, routing and the dynamics models call it per
+/// sub-slot and per link, where an out-of-line call per draw cost ~11%
+/// of a fig1_dcube run under gprof.
 class Xoshiro256 {
  public:
   explicit Xoshiro256(std::uint64_t seed);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). Precondition: bound > 0. Rejection-sampled.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): the top 53 bits of one draw, scaled by
+  /// 2^-53 (Blackman & Vigna's construction).
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform field element (rejection from 61-bit draws).
   field::Fp61 next_fp61();
 
-  /// Bernoulli(p).
-  bool next_bool(double p);
+  /// Bernoulli(p). p <= 0 and p >= 1 draw nothing.
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
+
+  /// Integer form of next_bool(p) for 0 < p < 1, for callers that test
+  /// one p many times: next_bool_at(bernoulli_threshold(p)) consumes the
+  /// same draw and returns the same value as next_bool(p). Exact, because
+  /// next_double() < p compares k * 2^-53 with p for the integer
+  /// k = next_u64() >> 11, p * 2^53 is exact in a double, and for an
+  /// integer k, k < y holds iff k < ceil(y). The threshold lies in
+  /// [1, 2^53 - 1].
+  static std::uint64_t bernoulli_threshold(double p) {
+    // ceil without libm: truncate, then round up a fractional part.
+    const double scaled = p * 0x1.0p53;
+    const auto floor = static_cast<std::uint64_t>(scaled);
+    return floor + (static_cast<double>(floor) < scaled ? 1 : 0);
+  }
+  bool next_bool_at(std::uint64_t threshold) {
+    return (next_u64() >> 11) < threshold;
+  }
 
   // UniformRandomBitGenerator interface (for std::shuffle etc.).
   using result_type = std::uint64_t;

@@ -176,12 +176,136 @@ void run_minicast_into(const net::Topology& topo,
   const bool sparse_topo = view.sparse();
 
   const double inv_corr = 1.0 / radio.ct_loss_correlation;
-  // At the default correlation of 1.0 the exponent is exactly 1.0, and
+  // At a correlation of 1.0 the exponent is exactly 1.0, and
   // IEEE-754 guarantees pow(x, 1.0) == x bit-for-bit — so the arbitration
   // loop can skip the libm call entirely without changing a single
   // delivered packet. Any other correlation keeps the pow.
   const bool corr_is_one = inv_corr == 1.0;
+
+  // Success probability of one listener under the sender set marked in
+  // scratch.entry_senders; 0 when it hears none of them.
+  const auto success_prob = [&](NodeId r) {
+    std::size_t heard = 0;
+    double fail_product = 1.0;
+    double single_prr = 0.0;
+    if (sparse_topo) {
+      // Sparse tier: only the receiver's stored in-links exist, as word
+      // runs over the same ascending-transmitter order the dense row
+      // scan visits — the fail_product chain is identical either way.
+      const double* in_prr = view.in_prr();
+      for (const net::AudWord& aw : view.audible_entries(r)) {
+        std::uint64_t m = aw.bits & scratch.entry_senders[aw.word];
+        while (m != 0) {
+          const std::uint64_t low = m & (~m + 1);
+          m &= m - 1;
+          const double p =
+              in_prr[aw.prr_off + static_cast<std::size_t>(
+                                      std::popcount(aw.bits & (low - 1)))];
+          ++heard;
+          fail_product *= (1.0 - p);
+          single_prr = p;
+        }
+      }
+    } else {
+      const std::uint64_t* audible = view.audible_words(r);
+      const double* prr_in = view.prr_into(r);
+      // Scan the sender/audibility masks four words per stride: one OR
+      // rejects 256 absent transmitters at a time (the common case —
+      // sender sets are sparse). Words within a surviving stride are
+      // still visited in ascending order, so the fail_product multiply
+      // chain — doubles, order-sensitive — is untouched.
+      const auto scan_word = [&](std::size_t w, std::uint64_t m) {
+        while (m != 0) {
+          const std::size_t t =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+          m &= m - 1;
+          const double p = prr_in[t];
+          ++heard;
+          fail_product *= (1.0 - p);
+          single_prr = p;
+        }
+      };
+      std::size_t w = 0;
+      for (; w + 4 <= nwords; w += 4) {
+        const std::uint64_t m0 = scratch.entry_senders[w + 0] & audible[w + 0];
+        const std::uint64_t m1 = scratch.entry_senders[w + 1] & audible[w + 1];
+        const std::uint64_t m2 = scratch.entry_senders[w + 2] & audible[w + 2];
+        const std::uint64_t m3 = scratch.entry_senders[w + 3] & audible[w + 3];
+        if ((m0 | m1 | m2 | m3) == 0) continue;
+        scan_word(w + 0, m0);
+        scan_word(w + 1, m1);
+        scan_word(w + 2, m2);
+        scan_word(w + 3, m3);
+      }
+      for (; w < nwords; ++w) {
+        scan_word(w, scratch.entry_senders[w] & audible[w]);
+      }
+    }
+    if (heard == 0) return 0.0;
+    return heard == 1    ? single_prr
+           : corr_is_one ? 1.0 - fail_product
+                         : 1.0 - std::pow(fail_product, inv_corr);
+  };
+
+  // Sender-set class tables, sized from the round's shape (never from
+  // its draws) so a steady-state round on a fixed shape allocates
+  // nothing. Reserved pages a round never touches are never resident.
+  const std::size_t hit_cap = std::min(
+      num_entries * n, std::max(scratch.class_hit_budget, n));
+  const std::size_t key_cap = std::min(
+      num_entries * nwords, std::max(scratch.class_hit_budget / 4, nwords));
+  scratch.classes.reserve(num_entries);
+  scratch.class_keys.reserve(key_cap);
+  scratch.hit_node.reserve(hit_cap);
+  scratch.hit_threshold.reserve(hit_cap);
+  scratch.class_table.resize(std::bit_ceil(2 * num_entries));
+  scratch.entry_key.resize(nwords);
+  const auto start_classes = [&] {
+    scratch.classes.clear();
+    scratch.class_keys.clear();
+    scratch.hit_node.clear();
+    scratch.hit_threshold.clear();
+    std::fill(scratch.class_table.begin(), scratch.class_table.end(), 0);
+  };
   std::uint32_t slot = 0;
+  const auto deliver = [&](NodeId r, std::size_t e) {
+    scratch.received_any[r] = 1;
+    if (!bit_test(have_row(r), e)) {
+      bit_set(have_row(r), e);
+      result.rx_slot[r][e] = static_cast<std::int32_t>(slot);
+    }
+  };
+  // Arbitrates entry e, the first of its sender set `key` (bit j:
+  // tx_nodes[j] holds the entry), scanning every listener once and
+  // drawing as it goes. With `keep`, also appends the class: its hits
+  // are the listeners with p > 0, p >= 1 stored as kAlwaysHit, since
+  // next_bool draws for neither p <= 0 nor p >= 1.
+  const auto arbitrate_new_class = [&](std::size_t e, const std::uint64_t* key,
+                                       std::size_t key_words, bool keep) {
+    std::fill(scratch.entry_senders.begin(), scratch.entry_senders.end(), 0);
+    for (std::size_t j = 0; j < scratch.tx_nodes.size(); ++j) {
+      if (bit_test(key, j)) {
+        bit_set(scratch.entry_senders.data(), scratch.tx_nodes[j]);
+      }
+    }
+    RoundContext::SenderClass cls;
+    cls.hit_begin = static_cast<std::uint32_t>(scratch.hit_node.size());
+    for (NodeId r : scratch.listeners) {
+      const double p = success_prob(r);
+      if (p <= 0.0) continue;
+      if (keep) {
+        scratch.hit_node.push_back(r);
+        scratch.hit_threshold.push_back(
+            p >= 1.0 ? RoundContext::kAlwaysHit
+                     : crypto::Xoshiro256::bernoulli_threshold(p));
+      }
+      if (rng.next_bool(p)) deliver(r, e);
+    }
+    if (!keep) return;
+    cls.hit_end = static_cast<std::uint32_t>(scratch.hit_node.size());
+    scratch.class_keys.insert(scratch.class_keys.end(), key, key + key_words);
+    scratch.classes.push_back(cls);
+  };
   for (; slot < config.max_chain_slots; ++slot) {
     // Advance the dynamics clock to this slot: re-materialize the link
     // view when the epoch moved, refresh the churn mask. A node that
@@ -262,93 +386,69 @@ void run_minicast_into(const net::Topology& topo,
     // interference regime of net::ReceptionModel, inlined over the
     // packed transmitter set: a receiver fails only if every audible
     // copy fails, with the correlation knob degrading towards the
-    // single-best case (same arithmetic, same RNG draws).
+    // single-best case.
+    //
+    // Within one chain slot the transmitters, the listeners and the link
+    // tables are fixed, and transmitters do not receive, so an entry's
+    // success probability at a listener depends only on which of the
+    // slot's transmitters hold it. Entries are therefore interned into
+    // sender-set classes; the first entry of a class scans every
+    // listener once, drawing as it goes, and stores a hit list
+    // (listeners that may decode it, ascending, each with its integer
+    // Bernoulli threshold) that every later entry of the class replays.
+    // Both draw exactly where a per-(entry, listener) next_bool would:
+    // same listeners, same order, same outcomes.
+    const std::size_t key_words = (scratch.tx_nodes.size() + 63) / 64;
+    start_classes();
     for (std::size_t e = 0; e < num_entries; ++e) {
-      std::fill(scratch.entry_senders.begin(), scratch.entry_senders.end(),
-                0);
-      std::size_t sender_count = 0;
-      for (NodeId i : scratch.tx_nodes) {
-        if (bit_test(have_row(i), e)) {
-          bit_set(scratch.entry_senders.data(), i);
-          ++sender_count;
+      std::uint64_t* key = scratch.entry_key.data();
+      std::fill(key, key + key_words, 0);
+      bool any_sender = false;
+      for (std::size_t j = 0; j < scratch.tx_nodes.size(); ++j) {
+        if (bit_test(have_row(scratch.tx_nodes[j]), e)) {
+          bit_set(key, j);
+          any_sender = true;
         }
       }
-      if (sender_count == 0) continue;
-      for (NodeId r : scratch.listeners) {
-        std::size_t heard = 0;
-        double fail_product = 1.0;
-        double single_prr = 0.0;
-        if (sparse_topo) {
-          // Sparse tier: only the receiver's stored in-links exist, as
-          // word runs over the same ascending-transmitter order the
-          // dense row scan visits — the fail_product chain and the RNG
-          // draw below are identical either way.
-          const double* in_prr = view.in_prr();
-          for (const net::AudWord& aw : view.audible_entries(r)) {
-            std::uint64_t m = aw.bits & scratch.entry_senders[aw.word];
-            while (m != 0) {
-              const std::uint64_t low = m & (~m + 1);
-              m &= m - 1;
-              const double p =
-                  in_prr[aw.prr_off +
-                         static_cast<std::size_t>(
-                             std::popcount(aw.bits & (low - 1)))];
-              ++heard;
-              fail_product *= (1.0 - p);
-              single_prr = p;
-            }
-          }
-        } else {
-          const std::uint64_t* audible = view.audible_words(r);
-          const double* prr_in = view.prr_into(r);
-          // Scan the sender/audibility masks four words per stride: one
-          // OR rejects 256 absent transmitters at a time (the common
-          // case — sender sets are sparse). Words within a surviving
-          // stride are still visited in ascending order, so the
-          // fail_product multiply chain — doubles, order-sensitive — is
-          // untouched.
-          const auto scan_word = [&](std::size_t w, std::uint64_t m) {
-            while (m != 0) {
-              const std::size_t t =
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(m));
-              m &= m - 1;
-              const double p = prr_in[t];
-              ++heard;
-              fail_product *= (1.0 - p);
-              single_prr = p;
-            }
-          };
-          std::size_t w = 0;
-          for (; w + 4 <= nwords; w += 4) {
-            const std::uint64_t m0 =
-                scratch.entry_senders[w + 0] & audible[w + 0];
-            const std::uint64_t m1 =
-                scratch.entry_senders[w + 1] & audible[w + 1];
-            const std::uint64_t m2 =
-                scratch.entry_senders[w + 2] & audible[w + 2];
-            const std::uint64_t m3 =
-                scratch.entry_senders[w + 3] & audible[w + 3];
-            if ((m0 | m1 | m2 | m3) == 0) continue;
-            scan_word(w + 0, m0);
-            scan_word(w + 1, m1);
-            scan_word(w + 2, m2);
-            scan_word(w + 3, m3);
-          }
-          for (; w < nwords; ++w) {
-            scan_word(w, scratch.entry_senders[w] & audible[w]);
-          }
+      if (!any_sender) continue;
+      std::uint64_t hash = 0;
+      for (std::size_t w = 0; w < key_words; ++w) {
+        hash = (hash ^ key[w]) * 0x9E3779B97F4A7C15ull;
+        hash ^= hash >> 29;
+      }
+      const std::size_t table_mask = scratch.class_table.size() - 1;
+      std::size_t pos = hash & table_mask;
+      const RoundContext::SenderClass* cls = nullptr;
+      for (; scratch.class_table[pos] != 0; pos = (pos + 1) & table_mask) {
+        const std::size_t c = scratch.class_table[pos] - 1;
+        if (std::equal(key, key + key_words,
+                       scratch.class_keys.data() + c * key_words)) {
+          cls = &scratch.classes[c];
+          break;
         }
-        if (heard == 0) continue;
-        const double success_prob =
-            heard == 1     ? single_prr
-            : corr_is_one ? 1.0 - fail_product
-                           : 1.0 - std::pow(fail_product, inv_corr);
-        if (rng.next_bool(success_prob)) {
-          scratch.received_any[r] = 1;
-          if (!bit_test(have_row(r), e)) {
-            bit_set(have_row(r), e);
-            result.rx_slot[r][e] = static_cast<std::int32_t>(slot);
-          }
+      }
+      if (cls == nullptr) {
+        // The slot's last entry has no later entry to share its class
+        // (in a one-entry flood chain, no entry has).
+        const bool keep = e + 1 < num_entries;
+        if (keep && (scratch.hit_node.size() + scratch.listeners.size() >
+                         hit_cap ||
+                     scratch.class_keys.size() + key_words > key_cap)) {
+          start_classes();
+          pos = hash & table_mask;
+        }
+        arbitrate_new_class(e, key, key_words, keep);
+        if (keep) {
+          scratch.class_table[pos] =
+              static_cast<std::uint32_t>(scratch.classes.size());
+        }
+        continue;
+      }
+      for (std::uint32_t h = cls->hit_begin; h < cls->hit_end; ++h) {
+        const std::uint64_t threshold = scratch.hit_threshold[h];
+        if (threshold == RoundContext::kAlwaysHit ||
+            rng.next_bool_at(threshold)) {
+          deliver(scratch.hit_node[h], e);
         }
       }
     }

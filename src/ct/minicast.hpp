@@ -197,6 +197,30 @@ struct RoundContext {
   std::vector<std::uint32_t> timeout_budget;
   net::ChannelView view;   // epoch-cached link tables (static: aliases)
   std::vector<char> down;  // per-slot churn mask (liveness rounds only)
+  // Sender-set classes of the current chain slot (see run_minicast_into).
+  // A class's key marks which of tx_nodes hold the entry; its hits are
+  // the listeners that may decode it, each with the integer Bernoulli
+  // threshold of its success probability (kAlwaysHit: p >= 1, no draw).
+  struct SenderClass {
+    std::uint32_t hit_begin = 0;
+    std::uint32_t hit_end = 0;
+  };
+  static constexpr std::uint64_t kAlwaysHit = ~std::uint64_t{0};
+  /// Most hits a slot may cache before its classes start over (keys get
+  /// a quarter as many words). The tables are reserved from the round's
+  /// shape up to this bound, so big chains stay bounded in memory; a
+  /// slot that fills them re-evaluates later classes, with identical
+  /// results and draws. 2^14 hits (192 KiB) hold a whole slot of the
+  /// 45-node DCube chains (at most ~11.7k hits); a larger budget mostly
+  /// adds resident memory to hierarchical trials, which keep one context
+  /// per group.
+  std::size_t class_hit_budget = std::size_t{1} << 14;
+  std::vector<SenderClass> classes;
+  std::vector<std::uint64_t> class_keys;   // classes x key-words
+  std::vector<std::uint32_t> class_table;  // open addressing: class + 1
+  std::vector<std::uint64_t> entry_key;    // the current entry's key
+  std::vector<NodeId> hit_node;
+  std::vector<std::uint64_t> hit_threshold;
   // Warm buffers for run_glossy_into: the one-entry chain and the chain
   // result a flood is internally run through.
   std::vector<ChainEntry> flood_entries;

@@ -13,6 +13,12 @@ committed file is therefore byte-stable in *structure*; the values are
 measurements and move with the hardware, which is why `check` applies a
 ratio threshold instead of exact comparison.
 
+Host portability: `BM_Calibrate` times a fixed compute kernel unrelated
+to ctagg (perfbench's calibration kernel). `check` multiplies every
+baseline by current/baseline `BM_Calibrate` time before applying the
+threshold, so a baseline recorded on a faster or slower host is compared
+at this host's speed. The threshold itself is not scaled.
+
 Usage:
   perf_gate.py run   --bench <path> --out BENCH_micro.json
   perf_gate.py check --bench <path> --baseline BENCH_micro.json \
@@ -33,6 +39,7 @@ import sys
 DEFAULT_THRESHOLD = 1.6
 DEFAULT_MIN_NS = 50.0
 REPETITIONS = 5
+CALIBRATION = "BM_Calibrate"
 
 
 def run_bench(bench_path, bench_filter=None):
@@ -43,7 +50,8 @@ def run_bench(bench_path, bench_filter=None):
         "--benchmark_report_aggregates_only=true",
     ]
     if bench_filter:
-        cmd.append(f"--benchmark_filter={bench_filter}")
+        # The calibration kernel always runs: check scales by it.
+        cmd.append(f"--benchmark_filter=({bench_filter})|^{CALIBRATION}$")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -80,32 +88,50 @@ def cmd_run(args):
     return 0
 
 
+def compare(base, current, threshold, min_ns):
+    """Compare {name: ns} medians against a baseline, both containing
+    CALIBRATION. Returns (calibration ratio, report lines, regressed
+    names, missing names)."""
+    if CALIBRATION not in base or CALIBRATION not in current:
+        raise SystemExit(f"{CALIBRATION} missing from the baseline or the "
+                         "run; regenerate the baseline with `run`")
+    scale = current[CALIBRATION] / base[CALIBRATION]
+    lines = [f"calibration {CALIBRATION}: {base[CALIBRATION]:.1f} -> "
+             f"{current[CALIBRATION]:.1f} ns, baselines scaled x{scale:.3f}"]
+    failures = []
+    missing = []
+    for name, base_ns in sorted(base.items()):
+        if name == CALIBRATION:
+            continue
+        if name not in current:
+            missing.append(name)
+            continue
+        cur_ns = current[name]
+        scaled_ns = base_ns * scale
+        if base_ns < min_ns:
+            status = "skip (below min-ns)"
+        elif cur_ns > scaled_ns * threshold:
+            status = "REGRESSION"
+            failures.append(name)
+        else:
+            status = "ok"
+        ratio = cur_ns / scaled_ns if scaled_ns else float("inf")
+        lines.append(f"{name:45s} {scaled_ns:12.1f} -> {cur_ns:12.1f} ns  "
+                     f"x{ratio:5.2f}  {status}")
+    for name in sorted(set(current) - set(base)):
+        lines.append(f"{name:45s} {'(new, no baseline)':>30s}")
+    return scale, lines, failures, missing
+
+
 def cmd_check(args):
     with open(args.baseline) as f:
         baseline = json.load(f)
     base = baseline["benchmarks"]
     current = normalize(run_bench(args.bench, args.filter))["benchmarks"]
 
-    failures = []
-    missing = []
-    for name, base_ns in sorted(base.items()):
-        if name not in current:
-            missing.append(name)
-            continue
-        cur_ns = current[name]
-        if base_ns < args.min_ns:
-            status = "skip (below min-ns)"
-        elif cur_ns > base_ns * args.threshold:
-            status = "REGRESSION"
-            failures.append(name)
-        else:
-            status = "ok"
-        ratio = cur_ns / base_ns if base_ns else float("inf")
-        print(f"{name:45s} {base_ns:12.1f} -> {cur_ns:12.1f} ns  "
-              f"x{ratio:5.2f}  {status}")
-    for name in sorted(set(current) - set(base)):
-        print(f"{name:45s} {'(new, no baseline)':>30s}")
-
+    _, lines, failures, missing = compare(base, current, args.threshold,
+                                          args.min_ns)
+    print("\n".join(lines))
     if missing:
         print(f"\nFAIL: {len(missing)} baseline benchmark(s) no longer "
               f"reported: {', '.join(missing)}")
@@ -114,8 +140,8 @@ def cmd_check(args):
         print(f"\nFAIL: {len(failures)} regression(s) beyond "
               f"x{args.threshold}: {', '.join(failures)}")
         return 1
-    print(f"\nOK: {len(base)} benchmarks within x{args.threshold} "
-          "of baseline")
+    print(f"\nOK: {len(base) - 1} benchmarks within x{args.threshold} "
+          "of the calibrated baseline")
     return 0
 
 
