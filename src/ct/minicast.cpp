@@ -251,9 +251,10 @@ void run_minicast_into(const net::Topology& topo,
   // its draws) so a steady-state round on a fixed shape allocates
   // nothing. Reserved pages a round never touches are never resident.
   const std::size_t hit_cap = std::min(
-      num_entries * n, std::max(scratch.class_hit_budget, n));
-  const std::size_t key_cap = std::min(
-      num_entries * nwords, std::max(scratch.class_hit_budget / 4, nwords));
+      num_entries * n, std::max(RoundContext::kClassHitBudget, n));
+  const std::size_t key_cap =
+      std::min(num_entries * nwords,
+               std::max(RoundContext::kClassHitBudget / 4, nwords));
   scratch.classes.reserve(num_entries);
   scratch.class_keys.reserve(key_cap);
   scratch.hit_node.reserve(hit_cap);
@@ -277,11 +278,11 @@ void run_minicast_into(const net::Topology& topo,
   };
   // Arbitrates entry e, the first of its sender set `key` (bit j:
   // tx_nodes[j] holds the entry), scanning every listener once and
-  // drawing as it goes. With `keep`, also appends the class: its hits
-  // are the listeners with p > 0, p >= 1 stored as kAlwaysHit, since
-  // next_bool draws for neither p <= 0 nor p >= 1.
+  // drawing as it goes, and appends the class: its hits are the
+  // listeners with p > 0, p >= 1 stored as kAlwaysHit, since next_bool
+  // draws for neither p <= 0 nor p >= 1.
   const auto arbitrate_new_class = [&](std::size_t e, const std::uint64_t* key,
-                                       std::size_t key_words, bool keep) {
+                                       std::size_t key_words) {
     std::fill(scratch.entry_senders.begin(), scratch.entry_senders.end(), 0);
     for (std::size_t j = 0; j < scratch.tx_nodes.size(); ++j) {
       if (bit_test(key, j)) {
@@ -293,15 +294,12 @@ void run_minicast_into(const net::Topology& topo,
     for (NodeId r : scratch.listeners) {
       const double p = success_prob(r);
       if (p <= 0.0) continue;
-      if (keep) {
-        scratch.hit_node.push_back(r);
-        scratch.hit_threshold.push_back(
-            p >= 1.0 ? RoundContext::kAlwaysHit
-                     : crypto::Xoshiro256::bernoulli_threshold(p));
-      }
+      scratch.hit_node.push_back(r);
+      scratch.hit_threshold.push_back(
+          p >= 1.0 ? RoundContext::kAlwaysHit
+                   : crypto::Xoshiro256::bernoulli_threshold(p));
       if (rng.next_bool(p)) deliver(r, e);
     }
-    if (!keep) return;
     cls.hit_end = static_cast<std::uint32_t>(scratch.hit_node.size());
     scratch.class_keys.insert(scratch.class_keys.end(), key, key + key_words);
     scratch.classes.push_back(cls);
@@ -428,20 +426,14 @@ void run_minicast_into(const net::Topology& topo,
         }
       }
       if (cls == nullptr) {
-        // The slot's last entry has no later entry to share its class
-        // (in a one-entry flood chain, no entry has).
-        const bool keep = e + 1 < num_entries;
-        if (keep && (scratch.hit_node.size() + scratch.listeners.size() >
-                         hit_cap ||
-                     scratch.class_keys.size() + key_words > key_cap)) {
+        if (scratch.hit_node.size() + scratch.listeners.size() > hit_cap ||
+            scratch.class_keys.size() + key_words > key_cap) {
           start_classes();
           pos = hash & table_mask;
         }
-        arbitrate_new_class(e, key, key_words, keep);
-        if (keep) {
-          scratch.class_table[pos] =
-              static_cast<std::uint32_t>(scratch.classes.size());
-        }
+        arbitrate_new_class(e, key, key_words);
+        scratch.class_table[pos] =
+            static_cast<std::uint32_t>(scratch.classes.size());
         continue;
       }
       for (std::uint32_t h = cls->hit_begin; h < cls->hit_end; ++h) {

@@ -214,7 +214,7 @@ struct RoundContext {
   /// 45-node DCube chains (at most ~11.7k hits); a larger budget mostly
   /// adds resident memory to hierarchical trials, which keep one context
   /// per group.
-  std::size_t class_hit_budget = std::size_t{1} << 14;
+  static constexpr std::size_t kClassHitBudget = std::size_t{1} << 14;
   std::vector<SenderClass> classes;
   std::vector<std::uint64_t> class_keys;   // classes x key-words
   std::vector<std::uint32_t> class_table;  // open addressing: class + 1

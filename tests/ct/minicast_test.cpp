@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <set>
 
 #include "common/assert.hpp"
 #include "net/testbeds.hpp"
@@ -248,13 +249,17 @@ TEST(MiniCast, ScheduledOwnerInjectsDespiteDeafness) {
 // Arbitration oracle. run_minicast_into arbitrates once per sender-set
 // class and replays integer Bernoulli thresholds; the function below is
 // the per-(entry, listener) engine it replaced, kept verbatim as the
-// definition the class path must reproduce draw for draw.
+// definition the class path must reproduce draw for draw. With
+// `max_slot_hits`, it also reports the most hits one chain slot's
+// sender-set classes hold (listeners with p > 0, summed over the slot's
+// distinct sender masks), which draws nothing.
 
 void reference_minicast_into(const net::Topology& topo,
                              const std::vector<ChainEntry>& entries,
                              const MiniCastConfig& config,
                              crypto::Xoshiro256& rng, RoundContext& scratch,
-                             MiniCastResult& result) {
+                             MiniCastResult& result,
+                             std::size_t* max_slot_hits = nullptr) {
   const std::size_t n = topo.size();
   const std::size_t num_entries = entries.size();
   MPCIOT_REQUIRE(num_entries > 0, "minicast: empty chain");
@@ -358,6 +363,8 @@ void reference_minicast_into(const net::Topology& topo,
   // loop can skip the libm call entirely without changing a single
   // delivered packet. Any other correlation keeps the pow.
   const bool corr_is_one = inv_corr == 1.0;
+  std::set<std::vector<std::uint64_t>> slot_classes;
+  if (max_slot_hits != nullptr) *max_slot_hits = 0;
   std::uint32_t slot = 0;
   for (; slot < config.max_chain_slots; ++slot) {
     // Advance the dynamics clock to this slot: re-materialize the link
@@ -440,6 +447,8 @@ void reference_minicast_into(const net::Topology& topo,
     // packed transmitter set: a receiver fails only if every audible
     // copy fails, with the correlation knob degrading towards the
     // single-best case (same arithmetic, same RNG draws).
+    slot_classes.clear();
+    std::size_t slot_hits = 0;
     for (std::size_t e = 0; e < num_entries; ++e) {
       std::fill(scratch.entry_senders.begin(), scratch.entry_senders.end(),
                 0);
@@ -451,6 +460,8 @@ void reference_minicast_into(const net::Topology& topo,
         }
       }
       if (sender_count == 0) continue;
+      const bool new_class = max_slot_hits != nullptr &&
+                             slot_classes.insert(scratch.entry_senders).second;
       for (NodeId r : scratch.listeners) {
         std::size_t heard = 0;
         double fail_product = 1.0;
@@ -520,6 +531,7 @@ void reference_minicast_into(const net::Topology& topo,
             heard == 1     ? single_prr
             : corr_is_one ? 1.0 - fail_product
                            : 1.0 - std::pow(fail_product, inv_corr);
+        if (new_class && success_prob > 0.0) ++slot_hits;
         if (rng.next_bool(success_prob)) {
           scratch.received_any[r] = 1;
           if (!bit_test(have_row(r), e)) {
@@ -528,6 +540,9 @@ void reference_minicast_into(const net::Topology& topo,
           }
         }
       }
+    }
+    if (max_slot_hits != nullptr) {
+      *max_slot_hits = std::max(*max_slot_hits, slot_hits);
     }
 
     // Accounting: transmitters spend the chain slot sending the filled
@@ -574,13 +589,15 @@ void reference_minicast_into(const net::Topology& topo,
   result.duration_us = static_cast<SimTime>(slot) * chain_slot_us;
 }
 
-/// 6x6 jittered grid with shadowing: many distinct sender sets per slot.
-net::Topology make_oracle_grid(double correlation, bool sparse) {
+/// Jittered grid (6x6 by default) with shadowing: many distinct sender
+/// sets per slot.
+net::Topology make_oracle_grid(double correlation, bool sparse,
+                               int side = 6) {
   net::RadioParams radio;
   radio.ct_loss_correlation = correlation;
   std::vector<net::Position> pos;
-  for (int r = 0; r < 6; ++r) {
-    for (int c = 0; c < 6; ++c) {
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
       pos.push_back(net::Position{c * 11.0 + (r % 2) * 2.5, r * 11.0});
     }
   }
@@ -595,12 +612,11 @@ net::Topology make_oracle_grid(double correlation, bool sparse) {
 void expect_same_round(const net::Topology& topo,
                        const std::vector<ChainEntry>& entries,
                        const MiniCastConfig& cfg, std::uint64_t seed,
-                       std::size_t hit_budget = RoundContext{}.class_hit_budget) {
+                       std::size_t* max_slot_hits = nullptr) {
   crypto::Xoshiro256 want_rng(seed);
   crypto::Xoshiro256 got_rng(seed);
   RoundContext want_ctx;
   RoundContext got_ctx;
-  got_ctx.class_hit_budget = hit_budget;
   MiniCastResult want;
   MiniCastResult got;
   // Two rounds through the same contexts: the second runs on warm
@@ -608,8 +624,12 @@ void expect_same_round(const net::Topology& topo,
   for (int round = 0; round < 2; ++round) {
     MiniCastConfig round_cfg = cfg;
     round_cfg.start_time_us += static_cast<SimTime>(round) * 40'000;
+    std::size_t round_hits = 0;
     reference_minicast_into(topo, entries, round_cfg, want_rng, want_ctx,
-                            want);
+                            want, &round_hits);
+    if (max_slot_hits != nullptr) {
+      *max_slot_hits = std::max(*max_slot_hits, round_hits);
+    }
     run_minicast_into(topo, entries, round_cfg, got_rng, got_ctx, got);
     ASSERT_EQ(got.rx_slot, want.rx_slot) << "round " << round;
     ASSERT_EQ(got.tx_count, want.tx_count);
@@ -689,17 +709,22 @@ TEST(MiniCastOracle, ClassArbitrationMatchesUnderLinkDynamicsAndChurn) {
 }
 
 TEST(MiniCastOracle, FullClassTablesStartOverWithoutChangingTheRound) {
-  // A hit budget below one class's worst case makes nearly every new
-  // sender set flush the slot's class tables first.
+  // A 12x12 grid with three entries per node puts more hits in one
+  // chain slot than the class tables hold, so that slot starts its
+  // classes over at least once.
   for (const bool sparse : {false, true}) {
-    const net::Topology topo = make_oracle_grid(1.2, sparse);
+    SCOPED_TRACE(::testing::Message() << "sparse " << sparse);
+    const net::Topology topo = make_oracle_grid(1.2, sparse, 12);
     MiniCastConfig cfg;
-    cfg.initiator = 7;
+    cfg.initiator = 66;
     cfg.ntx = 4;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      expect_same_round(topo, oracle_entries(topo.size()), cfg, seed,
-                        /*hit_budget=*/1);
+    std::size_t max_slot_hits = 0;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      std::size_t hits = 0;
+      expect_same_round(topo, oracle_entries(topo.size()), cfg, seed, &hits);
+      max_slot_hits = std::max(max_slot_hits, hits);
     }
+    EXPECT_GT(max_slot_hits, RoundContext::kClassHitBudget);
   }
 }
 
