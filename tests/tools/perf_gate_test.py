@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/perf_gate.py: canned google-benchmark JSON goes
-through normalize() and compare(); no benchmark binary is run.
+through normalize(), fastest() and compare(); no benchmark binary is
+run.
 
 Run: python3 -B -m unittest discover -s tests/tools -p 'perf_gate_test.py'
 """
@@ -52,6 +53,19 @@ class NormalizeTest(unittest.TestCase):
             perf_gate.normalize(doc)
         with self.assertRaises(SystemExit):
             perf_gate.normalize({"benchmarks": []})
+
+
+class FastestTest(unittest.TestCase):
+    def test_keeps_each_benchmarks_lowest_median(self):
+        runs = [{"BM_a": 5.0, "BM_b": 9.0}, {"BM_a": 7.0, "BM_b": 3.0},
+                {"BM_b": 4.0, "BM_a": 6.0}]
+        got = perf_gate.fastest(runs)
+        self.assertEqual(got, {"BM_a": 5.0, "BM_b": 3.0})
+        self.assertEqual(list(got), ["BM_a", "BM_b"])
+
+    def test_runs_with_different_benchmarks_are_an_error(self):
+        with self.assertRaises(SystemExit):
+            perf_gate.fastest([{"BM_a": 1.0}, {"BM_a": 1.0, "BM_b": 2.0}])
 
 
 class CompareTest(unittest.TestCase):
