@@ -5,8 +5,8 @@
 // attacker subset (paired across attack kinds — the same nodes turn
 // coat at the same fraction) committing one of the active
 // misbehaviours: malformed share values, equivocating dealers,
-// polluted point-sums, or CT-slot jamming (a JammerChannel decorating
-// the trial's channel model, so all four transports inherit it).
+// polluted point-sums, or CT-slot jamming (a SlotJammer decorating
+// the trial's liveness schedule, so all four transports inherit it).
 // Reported per configuration: the detection rate commitment
 // verification achieves against the attackers that actually misdealt,
 // aggregate correctness among the honest nodes, the rejection

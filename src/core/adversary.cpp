@@ -146,72 +146,41 @@ field::Fp61 AdversaryEngine::sum_pollution(std::uint64_t trial_seed,
   return field::Fp61{1 + rng.next_below(field::Fp61::kModulus - 1)};
 }
 
-JammerChannel::JammerChannel(const net::ChannelModel* inner,
-                             std::vector<NodeId> jammers, std::uint64_t seed,
-                             double duty, SimTime epoch_us)
-    : inner_(inner),
+SlotJammer::SlotJammer(const net::Topology& topo,
+                       const net::LivenessModel* inner,
+                       std::vector<NodeId> jammers, std::uint64_t seed,
+                       double duty, SimTime epoch_us)
+    : topo_(topo),
+      inner_(inner),
       jammers_(std::move(jammers)),
       seed_(seed),
       duty_(duty),
       epoch_us_(epoch_us) {
+  for (const NodeId j : jammers_) {
+    MPCIOT_REQUIRE(j < topo_.size(),
+                   "jammer: id out of range for this topology");
+    MPCIOT_REQUIRE(j < (NodeId{1} << 16),
+                   "jammer: ids must stay below 2^16 for the jam draw");
+  }
   MPCIOT_REQUIRE(duty_ >= 0.0 && duty_ <= 1.0,
                  "jammer: duty must be a probability");
   MPCIOT_REQUIRE(epoch_us_ > 0, "jammer: epoch must be positive");
 }
 
-SimTime JammerChannel::epoch_us() const {
-  return inner_ != nullptr ? inner_->epoch_us() : epoch_us_;
-}
-
-bool JammerChannel::jam_active(NodeId jammer, std::uint64_t epoch) const {
+bool SlotJammer::jam_active(NodeId jammer, std::uint64_t epoch) const {
   return unit_draw(crypto::derive_seed(seed_, kStreamJam,
                                        (epoch << 16) | jammer)) < duty_;
 }
 
-void JammerChannel::materialize(const net::Topology& topo,
-                                std::uint64_t epoch,
-                                net::LinkEpochTables& tables) const {
-  // The jam overlay zeroes whole receiver rows of the dense tables;
-  // adversary scenarios run on leaf-scale topologies where those rows
-  // exist. Sparse-tier jamming would need a word-run overlay nobody
-  // sweeps yet — fail loudly instead of silently not jamming.
-  MPCIOT_REQUIRE(!topo.sparse(),
-                 "jammer: sparse-tier topologies are not supported");
-  const std::size_t n = topo.size();
-  const std::size_t words = topo.node_words();
-  if (inner_ != nullptr) {
-    inner_->materialize(topo, epoch, tables);
-  } else {
-    // Static world: restart from the frozen snapshot each epoch (the
-    // jam overlay below must not accumulate across epochs).
-    tables.prr.assign(topo.prr_data(), topo.prr_data() + n * n);
-    tables.prr_in.resize(n * n);
-    tables.rx_words.resize(n * words);
-    for (NodeId r = 0; r < n; ++r) {
-      std::copy_n(topo.prr_into(r), n, tables.prr_in.data() + r * n);
-      std::copy_n(topo.audible_words(r), words,
-                  tables.rx_words.data() + r * words);
-    }
-  }
-  tables.epoch = epoch;
-
+bool SlotJammer::is_deaf(NodeId node, SimTime t) const {
+  const std::uint64_t epoch =
+      t <= 0 ? 0 : static_cast<std::uint64_t>(t / epoch_us_);
   for (const NodeId j : jammers_) {
-    MPCIOT_REQUIRE(j < n, "jammer: id out of range for this topology");
-    if (!jam_active(j, epoch)) continue;
-    // Noise from j deafens every receiver that can hear j at all (static
-    // audibility — jamming reach is physics, not the inner model's
-    // current fade), plus j itself: its radio is busy emitting noise.
-    for (NodeId r = 0; r < n; ++r) {
-      const bool in_range =
-          (topo.audible_words(r)[j / 64] >> (j % 64)) & 1;
-      if (!in_range && r != j) continue;
-      for (std::size_t t = 0; t < n; ++t) {
-        tables.prr_in[r * n + t] = 0.0;
-        tables.prr[t * n + r] = 0.0;
-      }
-      std::fill_n(tables.rx_words.data() + r * words, words, 0);
+    if ((j == node || topo_.prr(j, node) > 0.0) && jam_active(j, epoch)) {
+      return true;
     }
   }
+  return false;
 }
 
 }  // namespace mpciot::core

@@ -25,9 +25,10 @@
 //    (config seed, trial seed, round, attacker, target) — no shared RNG
 //    streams, so trials stay deterministic and jobs-invariant, and a
 //    config with kind == kNone changes nothing, byte for byte;
-//  * `JammerChannel` decorates any net::ChannelModel with per-epoch
+//  * `SlotJammer` decorates a node's liveness schedule with per-epoch
 //    jammers that deafen every receiver in radio range — all four
-//    transports inherit the attack through the channel-model seam.
+//    transports inherit the attack through the liveness seam, and the
+//    link tables are never touched.
 //
 // The eavesdropper case (no coalition membership, only the air
 // interface) is handled by AES-128: an eavesdropper sees only
@@ -97,7 +98,7 @@ enum class AttackKind : std::uint8_t {
   /// honest contributor bitmap.
   kPollutedSums,
   /// Attackers jam CT slots: per-epoch radio noise deafening every
-  /// receiver in range (see JammerChannel).
+  /// receiver in range (see SlotJammer).
   kJamSlots,
 };
 
@@ -111,8 +112,8 @@ struct AdversaryConfig {
   /// kJamSlots: probability a jammer actively jams a given epoch
   /// (independent per (jammer, epoch)).
   double jam_duty = 0.2;
-  /// kJamSlots: jam-schedule epoch length when no inner channel model
-  /// dictates one.
+  /// kJamSlots: jam-schedule epoch length, independent of any channel
+  /// model's epochs.
   SimTime jam_epoch_us = 10 * kMillisecond;
 
   bool active() const {
@@ -169,33 +170,34 @@ class AdversaryEngine {
   std::vector<char> is_attacker_;
 };
 
-/// Channel-model decorator: the inner model's link tables (or the
-/// frozen static snapshot when inner is null) with per-epoch jammers
-/// stamped on top. A jammer active in an epoch deafens every receiver
-/// that can hear it at all — including itself, its radio being busy —
-/// by zeroing the receiver's inbound PRR row and audibility bitmap.
-/// Jam decisions are pure functions of (seed, epoch, jammer), so the
-/// materialize() contract (same tables for the same (topo, epoch),
-/// regardless of walk prefix) is preserved whenever the inner model
-/// preserves it. Every transport consumes the channel-model seam, so
-/// all four inherit the attack unchanged.
-class JammerChannel final : public net::ChannelModel {
+/// Liveness decorator for kJamSlots: the inner schedule's crashes plus
+/// per-epoch jammers. A jammer active in epoch t / epoch_us deafens
+/// every receiver that can hear it at all under the topology's static
+/// audibility (jamming reach is physics, not the current fade), and
+/// itself, its radio being busy emitting noise. Deaf nodes still
+/// transmit and pay radio-on time. Jam decisions are pure functions of
+/// (seed, epoch, jammer), so the decorator is stateless and thread-safe
+/// like any LivenessModel.
+class SlotJammer final : public net::LivenessModel {
  public:
-  /// `inner` may be null (jam the static topology) and must otherwise
-  /// outlive this decorator. `jammers` are round-topology ids.
-  JammerChannel(const net::ChannelModel* inner, std::vector<NodeId> jammers,
-                std::uint64_t seed, double duty,
-                SimTime epoch_us = 10 * kMillisecond);
+  /// `inner` may be null (no churn); it and `topo` must outlive this
+  /// decorator. `jammers` are ids of `topo`, each below 2^16 (the jam
+  /// draw packs (epoch, jammer) into one index).
+  SlotJammer(const net::Topology& topo, const net::LivenessModel* inner,
+             std::vector<NodeId> jammers, std::uint64_t seed, double duty,
+             SimTime epoch_us = 10 * kMillisecond);
 
-  SimTime epoch_us() const override;
-  void materialize(const net::Topology& topo, std::uint64_t epoch,
-                   net::LinkEpochTables& tables) const override;
+  bool is_down(NodeId node, SimTime t) const override {
+    return inner_ != nullptr && inner_->is_down(node, t);
+  }
+  bool is_deaf(NodeId node, SimTime t) const override;
 
   /// The per-epoch jam decision (exposed for tests).
   bool jam_active(NodeId jammer, std::uint64_t epoch) const;
 
  private:
-  const net::ChannelModel* inner_;
+  const net::Topology& topo_;
+  const net::LivenessModel* inner_;
   std::vector<NodeId> jammers_;
   std::uint64_t seed_;
   double duty_;

@@ -21,9 +21,9 @@ constexpr std::uint64_t kStreamJamFlood = 0x41445648ull;   // flood jammers
 constexpr std::uint64_t kStreamNestedKeys = 0x4E4B4559ull; // subtree keys
 constexpr std::uint64_t kStreamNested = 0x4E455354ull;     // subtree sims
 
-/// Churn schedule of an induced subtopology: local ids looked up in the
-/// parent schedule. (Group rounds run on the trial clock, so times pass
-/// through unchanged.)
+/// Liveness schedule of an induced subtopology: local ids looked up in
+/// the parent schedule. (Group rounds run on the trial clock, so times
+/// pass through unchanged.)
 class MappedLiveness final : public net::LivenessModel {
  public:
   MappedLiveness(const net::LivenessModel* base,
@@ -31,6 +31,9 @@ class MappedLiveness final : public net::LivenessModel {
       : base_(base), members_(members) {}
   bool is_down(NodeId local, SimTime t) const override {
     return base_->is_down((*members_)[local], t);
+  }
+  bool is_deaf(NodeId local, SimTime t) const override {
+    return base_->is_deaf((*members_)[local], t);
   }
 
  private:
@@ -287,18 +290,19 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
   result.cheater_nodes.assign(n, 0);
 
   // kJamSlots: the recombination and result floods run over the full
-  // topology, so they get a parent-id jammer decoration; group rounds
-  // jam themselves through their local adversary configs.
-  std::optional<JammerChannel> flood_jammer;
-  const net::ChannelModel* flood_channel = env.channel_model;
+  // topology, so their transports get a parent-id jammer over the
+  // trial's liveness; group rounds jam themselves through their local
+  // adversary configs. Protocol decisions keep reading env.liveness.
+  std::optional<SlotJammer> flood_jammer;
+  const net::LivenessModel* flood_liveness = env.liveness;
   if (config_.adversary.active() &&
       config_.adversary.kind == AttackKind::kJamSlots) {
     flood_jammer.emplace(
-        env.channel_model, config_.adversary.attackers,
+        *topo_, env.liveness, config_.adversary.attackers,
         crypto::derive_seed(config_.adversary.seed, kStreamJamFlood,
                             sim.seed()),
         config_.adversary.jam_duty, config_.adversary.jam_epoch_us);
-    flood_channel = &*flood_jammer;
+    flood_liveness = &*flood_jammer;
   }
   // expected_sum accumulates from the accepted batch rounds below: a
   // source that is churn-down at its round's start never deals and is
@@ -653,8 +657,8 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
       fcfg.ntx = config_.result_flood_ntx;
       fcfg.payload_bytes = SumPacket::kWireSize;
       fcfg.max_slots = config_.max_chain_slots;
-      fcfg.channel_model = flood_channel;
-      fcfg.liveness = env.liveness;
+      fcfg.channel_model = env.channel_model;
+      fcfg.liveness = flood_liveness;
       bool delivered = false;
       ct::GlossyResult& flood = ws.flood;
       for (std::uint32_t attempt = 0;
@@ -721,8 +725,8 @@ const HierarchicalResult& HierarchicalProtocol::run_round(
     fcfg.payload_bytes = SumPacket::kWireSize;
     fcfg.max_slots = config_.max_chain_slots;
     fcfg.start_time_us = flood_base_abs + result.recombine_us;
-    fcfg.channel_model = flood_channel;
-    fcfg.liveness = env.liveness;
+    fcfg.channel_model = env.channel_model;
+    fcfg.liveness = flood_liveness;
     transport_->flood_into(*topo_, fcfg, sim.channel_rng(), trial_scratch,
                            flood);
     result.flood_us = flood.duration_us;

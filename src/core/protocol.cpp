@@ -176,17 +176,18 @@ const AggregationResult& SssProtocol::run_round(
     return !dead[i] && !down_at_start[i];
   };
 
-  // kJamSlots: decorate the trial's channel model so every transport
-  // inherits the jammers through the channel seam. The decorator lives
-  // on this frame; `adv_env` shadows the environment for the round.
-  std::optional<JammerChannel> jammer;
-  RoundEnv adv_env = env;
+  // kJamSlots: decorate the trial's liveness schedule so every
+  // transport inherits the jammers' deaf set through the liveness seam.
+  // The decorator lives on this frame and only the transports see it;
+  // protocol decisions keep reading env.liveness.
+  std::optional<SlotJammer> jammer;
+  const net::LivenessModel* radio_liveness = env.liveness;
   if (engine_.active() && engine_.kind() == AttackKind::kJamSlots) {
-    jammer.emplace(env.channel_model, config_.adversary.attackers,
+    jammer.emplace(*topo_, env.liveness, config_.adversary.attackers,
                    crypto::derive_seed(config_.adversary.seed,
                                        kStreamJamTrial, sim.seed()),
                    config_.adversary.jam_duty, config_.adversary.jam_epoch_us);
-    adv_env.channel_model = &*jammer;
+    radio_liveness = &*jammer;
   }
 
   // Node id -> holder index (kNotHolder for relays), replacing the old
@@ -284,8 +285,8 @@ const AggregationResult& SssProtocol::run_round(
   sync_cfg.ntx = 3;
   sync_cfg.payload_bytes = 8;
   sync_cfg.start_time_us = env.start_time_us;
-  sync_cfg.channel_model = adv_env.channel_model;
-  sync_cfg.liveness = env.liveness;
+  sync_cfg.channel_model = env.channel_model;
+  sync_cfg.liveness = radio_liveness;
   transport_->flood_into(*topo_, sync_cfg, sim.channel_rng(), round_scratch,
                          ws.sync);
   const ct::GlossyResult& sync = ws.sync;
@@ -307,8 +308,8 @@ const AggregationResult& SssProtocol::run_round(
                                : ct::RadioPolicy::kUntilQuiescence;
   share_cfg.disabled = dead;
   share_cfg.start_time_us = share_start_us;
-  share_cfg.channel_model = adv_env.channel_model;
-  share_cfg.liveness = env.liveness;
+  share_cfg.channel_model = env.channel_model;
+  share_cfg.liveness = radio_liveness;
   // Slot-synced owners of the sharing chain: sources that actually
   // dealt (a source down at round start has nothing to inject even
   // after it recovers). Every live data owner is slot-synchronized:
@@ -508,8 +509,8 @@ const AggregationResult& SssProtocol::run_round(
   recon_cfg.radio_policy = share_cfg.radio_policy;
   recon_cfg.disabled = dead;
   recon_cfg.start_time_us = recon_start_us;
-  recon_cfg.channel_model = adv_env.channel_model;
-  recon_cfg.liveness = env.liveness;
+  recon_cfg.channel_model = env.channel_model;
+  recon_cfg.liveness = radio_liveness;
   recon_cfg.scheduled_owners.clear();
   for (NodeId o : config_.share_holders) {
     if (!dead[o]) recon_cfg.scheduled_owners.push_back(o);

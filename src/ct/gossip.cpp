@@ -93,9 +93,9 @@ MiniCastResult run_gossip(const net::Topology& topo,
 
   const net::ReceptionModel model(topo);
   // Dynamics seams (see MiniCastConfig): the view aliases the frozen
-  // tables without a channel model; the churn mask only exists with a
-  // liveness schedule. Static rounds draw exactly the same RNG stream
-  // as before.
+  // tables without a channel model; the churn mask and deaf set only
+  // exist with a liveness schedule. Static rounds draw exactly the same
+  // RNG stream as before.
   net::ChannelView view;
   view.bind(topo, config.channel_model);
   const net::ChannelView* viewp =
@@ -148,8 +148,13 @@ MiniCastResult run_gossip(const net::Topology& topo,
 
     for (NodeId r = 0; r < n; ++r) {
       if (!active[r] || tx_this_slot[r]) continue;
-      if (churn != nullptr && down[r]) continue;
       if (slot_txs.empty()) continue;
+      // Down and deaf receivers hear nothing; arbitrate() would draw
+      // nothing for a deaf one either (every inbound p = 0).
+      if (churn != nullptr &&
+          (down[r] || churn->is_deaf(r, slot_start_us))) {
+        continue;
+      }
       const net::ReceptionOutcome outcome =
           model.arbitrate(r, slot_txs, rng, viewp);
       if (outcome.received) {

@@ -153,9 +153,9 @@ void run_minicast_into(const net::Topology& topo,
   }
 
   // Dynamics seams: the view aliases the frozen tables when no channel
-  // model is set, and the churn mask is only maintained when a liveness
-  // schedule is present — a static round takes neither branch nor extra
-  // RNG draws anywhere below.
+  // model is set, and the churn mask and deaf set are only queried when
+  // a liveness schedule is present — a static round takes neither
+  // branch nor extra RNG draws anywhere below.
   net::ChannelView& view = scratch.view;
   view.bind(topo, config.channel_model);
   const net::LivenessModel* churn = config.liveness;
@@ -371,11 +371,19 @@ void run_minicast_into(const net::Topology& topo,
     }
 
     // Listener set is fixed for the whole chain slot (radio state only
-    // changes at slot boundaries).
+    // changes at slot boundaries). A deaf listener pays its radio-on
+    // time here and joins no arbitration: it hears nothing and draws
+    // nothing, as if its inbound PRR row were zero.
     scratch.listeners.clear();
     for (NodeId i = 0; i < n; ++i) {
       if (scratch.tx_this_slot[i] || !scratch.radio_on[i]) continue;
-      if (churn != nullptr && scratch.down[i]) continue;
+      if (churn != nullptr) {
+        if (scratch.down[i]) continue;
+        if (churn->is_deaf(i, slot_start_us)) {
+          result.radio_on_us[i] += chain_slot_us;
+          continue;
+        }
+      }
       scratch.listeners.push_back(i);
     }
 
@@ -446,8 +454,8 @@ void run_minicast_into(const net::Topology& topo,
     }
 
     // Accounting: transmitters spend the chain slot sending the filled
-    // sub-slots and guard-listening the rest; listeners spend the whole
-    // chain slot in RX.
+    // sub-slots and guard-listening the rest; listeners (deaf ones were
+    // charged above) spend the whole chain slot in RX.
     for (NodeId i : scratch.tx_nodes) {
       result.radio_on_us[i] += chain_slot_us;
       ++result.tx_count[i];

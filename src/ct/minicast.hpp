@@ -131,15 +131,15 @@ struct MiniCastConfig {
   /// Time-varying channel the round runs under; null = the topology's
   /// frozen snapshot. The engine seeks the context's cached view once
   /// per chain slot and re-materializes rows only when the model's epoch
-  /// advances (or a rebind left them stale), so the bitmap hot path is
-  /// untouched between epochs.
+  /// advances, so the bitmap hot path is untouched between epochs.
   const net::ChannelModel* channel_model = nullptr;
   /// Node crash/recover schedule; null = no churn. A node down for a
   /// chain slot neither transmits nor listens and is charged no
   /// radio-on time; it keeps what it already received, and a
   /// slot-synchronized owner rejoins through the timeout path after it
   /// recovers. Unlike `disabled` (dead for the whole round), liveness
-  /// is evaluated per slot.
+  /// is evaluated per slot. A node deaf for a chain slot (e.g. jammed)
+  /// listens and is charged for it but receives nothing.
   const net::LivenessModel* liveness = nullptr;
 };
 

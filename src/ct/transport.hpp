@@ -28,10 +28,10 @@
 //
 // Every substrate honours the dynamics seams in its config
 // (start_time_us + channel_model + liveness, see MiniCastConfig): link
-// tables are queried per slot through an epoch-cached net::ChannelView
-// and churn-down nodes fall silent mid-round. With the seams unset the
-// substrates consume exactly the static RNG stream — frozen-topology
-// results are byte-identical.
+// tables are queried per slot through an epoch-cached net::ChannelView,
+// churn-down nodes fall silent mid-round, and deaf nodes (e.g. jammed)
+// hear nothing. With the seams unset the substrates consume exactly the
+// static RNG stream — frozen-topology results are byte-identical.
 #pragma once
 
 #include <memory>

@@ -32,21 +32,12 @@ void ChannelView::bind(const Topology& topo, const ChannelModel* model) {
   }
   MPCIOT_REQUIRE(model_->epoch_us() > 0,
                  "ChannelView: model epoch must be positive");
-  if (!same || tables_.epoch == LinkEpochTables::kNoEpoch) {
-    tables_.epoch = LinkEpochTables::kNoEpoch;
-    tables_.state_bits.clear();
-    tables_.state_keys.clear();
-    tables_.state_reals.clear();
-    seek(0);
-    return;
-  }
-  // Same binding with walked state: leave the cursor where it is — the
-  // round's first seek() continues (or, if earlier, restarts) the walk.
-  // The pointer may now name a different instance (a per-round jammer
-  // re-emplaced at the same address with a new seed), so the tables
-  // are stale even if that seek lands on the current epoch.
-  stale_ = true;
-  point_at_tables();
+  if (same && tables_.epoch != LinkEpochTables::kNoEpoch) return;
+  tables_.epoch = LinkEpochTables::kNoEpoch;
+  tables_.state_bits.clear();
+  tables_.state_keys.clear();
+  tables_.state_reals.clear();
+  seek(0);
 }
 
 void ChannelView::seek(SimTime t) {
@@ -54,7 +45,7 @@ void ChannelView::seek(SimTime t) {
   const std::uint64_t epoch =
       t <= 0 ? 0 : static_cast<std::uint64_t>(t / model_->epoch_us());
   if (tables_.epoch != LinkEpochTables::kNoEpoch) {
-    if (epoch == tables_.epoch && !stale_) return;
+    if (epoch == tables_.epoch) return;
     if (epoch < tables_.epoch) {
       // Backwards seek (a rebound view serving a round that starts
       // before the last one it served): restart the walk from scratch.
@@ -68,7 +59,6 @@ void ChannelView::seek(SimTime t) {
   }
   model_->materialize(*topo_, epoch, tables_);
   tables_.epoch = epoch;
-  stale_ = false;
   point_at_tables();
 }
 

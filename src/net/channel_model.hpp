@@ -10,9 +10,11 @@
 //    tables. Concrete models (e.g. the Gilbert–Elliott engine in
 //    sim::dynamics) advance per-link state epoch by epoch; a null model
 //    means "the frozen snapshot, forever".
-//  * `LivenessModel` — a node-level crash/recover schedule queried at a
+//  * `LivenessModel` — a node-level radio schedule queried at a
 //    simulated time. A down node's radio is silent: it neither transmits
-//    nor receives, and is charged no radio-on time while down.
+//    nor receives, and is charged no radio-on time while down. A deaf
+//    node (e.g. one drowned by a jammer) keeps its radio on and still
+//    transmits, but hears nothing.
 //
 // Model instances are const and thread-safe; all evolving state lives
 // in a `ChannelView`, the cursor the CT hot path reads (one per
@@ -86,6 +88,14 @@ class LivenessModel {
 
   /// True while `node`'s radio is dead at simulated time `t`.
   virtual bool is_down(NodeId node, SimTime t) const = 0;
+
+  /// True while `node` is up but hears nothing at simulated time `t`:
+  /// it stays a listener (radio-on time is charged, it may transmit)
+  /// whose every reception fails without consuming randomness, exactly
+  /// as if its inbound PRR row were zero.
+  virtual bool is_deaf(NodeId /*node*/, SimTime /*t*/) const {
+    return false;
+  }
 };
 
 /// Cursor over the (possibly time-varying) channel. Bind it to a
@@ -98,17 +108,17 @@ class ChannelView {
   ChannelView() = default;
 
   /// (Re)bind to a topology and model. Rebinding the same (topology,
-  /// model) pair keeps the walked chain state, so the rounds of a trial
-  /// that share one view per topology (one RoundContext per topology)
-  /// continue the epoch walk instead of replaying it; any other binding
-  /// resets the cursor (table capacity is kept either way). Such a
-  /// rebind marks the cached tables stale: a per-round decorator (e.g.
-  /// a jammer with a fresh seed) may be re-created at the same address,
-  /// so the next seek() re-materializes even an unchanged epoch.
+  /// model) pair keeps the walked chain state and the cached tables, so
+  /// the rounds of a trial that share one view per topology (one
+  /// RoundContext per topology) continue the epoch walk instead of
+  /// replaying it; any other binding resets the cursor (table capacity
+  /// is kept either way). Invariant: a bound model outlives the view's
+  /// use and is never re-created at its address, so an address names
+  /// one model and cached tables never go stale.
   void bind(const Topology& topo, const ChannelModel* model);
 
   /// Advance to the epoch containing time `t`, re-materializing the
-  /// cached tables when the epoch changed or a rebind left them stale.
+  /// cached tables when the epoch changed.
   /// Forward seeks continue the epoch walk; a backwards seek (legal
   /// right after a rebind) restarts the walk from epoch 0 — identical
   /// tables, re-walk cost only, since epoch state is a pure function of
@@ -158,9 +168,6 @@ class ChannelView {
   const double* out_prr_base_ = nullptr;
   const double* in_prr_base_ = nullptr;
   bool sparse_ = false;
-  /// Set by a same-binding rebind: tables_ still describe tables_.epoch
-  /// but may carry the overlay of the model instance bound before.
-  bool stale_ = false;
   std::size_t n_ = 0;
   std::size_t words_ = 0;
 };

@@ -87,6 +87,9 @@ bool walk_route(const Topology& topo, NodeId src, NodeId dst,
         env->view->seek(now());
         p = env->view->prr(at, hop);
       }
+      // A deaf receiver opens its radio but decodes nothing: p = 0 draws
+      // no randomness.
+      if (churn != nullptr && churn->is_deaf(hop, now())) p = 0.0;
       if (rng.next_bool(p)) {
         hop_ok = true;
         break;

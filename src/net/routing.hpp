@@ -58,7 +58,8 @@ HopTiming hop_timing(const RadioParams& radio, std::uint32_t payload_bytes,
 /// the view is seeked to the current time and the link PRR re-read; a
 /// hop receiver that is down cannot ack (the attempt fails without
 /// consuming randomness, the sender still pays strobe + retry time),
-/// and down relays are routed around like `blocked` ones.
+/// down relays are routed around like `blocked` ones, and a deaf hop
+/// receiver opens its radio for the exchange but decodes with p = 0.
 struct WalkEnv {
   SimTime base_us = 0;
   ChannelView* view = nullptr;

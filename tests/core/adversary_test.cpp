@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/assert.hpp"
 #include "crypto/prng.hpp"
+#include "ct/glossy.hpp"
 #include "net/testbeds.hpp"
+#include "sim/dynamics.hpp"
 
 namespace mpciot::core {
 namespace {
@@ -170,50 +173,127 @@ TEST(AdversaryEngine, EquivocationSplitsHoldersAndKeepsTheSecret) {
   EXPECT_NE(equiv.share_for(1).value, honest.share_for(1).value);
 }
 
-TEST(JammerChannel, JamDeafensEveryoneInRangeDuringActiveEpochs) {
+TEST(SlotJammer, JamDeafensEveryoneInRangeDuringActiveEpochs) {
   const net::Topology topo = net::testbeds::flocklab();
   const NodeId jammer = 5;
   // duty 1.0: always jamming. Every receiver that could hear the
-  // jammer statically — including the jammer itself — goes deaf.
-  const JammerChannel always(nullptr, {jammer}, /*seed=*/3, /*duty=*/1.0);
+  // jammer statically — including the jammer itself — goes deaf, and
+  // nobody goes down.
+  const SlotJammer always(topo, nullptr, {jammer}, /*seed=*/3, /*duty=*/1.0);
   EXPECT_TRUE(always.jam_active(jammer, 0));
-  net::LinkEpochTables tables;
-  always.materialize(topo, 0, tables);
-  net::LinkEpochTables clean;
-  const JammerChannel never(nullptr, {jammer}, /*seed=*/3, /*duty=*/0.0);
+  const SlotJammer never(topo, nullptr, {jammer}, /*seed=*/3, /*duty=*/0.0);
   EXPECT_FALSE(never.jam_active(jammer, 0));
-  never.materialize(topo, 0, clean);
 
   const std::size_t n = topo.size();
-  const std::size_t words = (n + 63) / 64;
   std::size_t deafened = 0;
   for (NodeId rx = 0; rx < n; ++rx) {
     const bool audible =
-        rx != jammer &&
-        ((clean.rx_words[rx * words + jammer / 64] >> (jammer % 64)) & 1);
-    if (audible || rx == jammer) {
-      ++deafened;
-      for (NodeId tx = 0; tx < n; ++tx) {
-        EXPECT_EQ(tables.prr_in[rx * n + tx], 0.0f)
-            << "rx " << rx << " tx " << tx;
-      }
-    }
+        ((topo.audible_words(rx)[jammer / 64] >> (jammer % 64)) & 1) != 0;
+    EXPECT_EQ(always.is_deaf(rx, 0), audible || rx == jammer) << "rx " << rx;
+    EXPECT_FALSE(never.is_deaf(rx, 0)) << "rx " << rx;
+    EXPECT_FALSE(always.is_down(rx, 0)) << "rx " << rx;
+    if (always.is_deaf(rx, 0)) ++deafened;
   }
   EXPECT_GT(deafened, 1u);   // the jammer reaches someone
   EXPECT_LT(deafened, n);    // but not the whole testbed
 }
 
-TEST(JammerChannel, DutyCycleGatesJamEpochsDeterministically) {
-  const JammerChannel jam(nullptr, {2}, /*seed=*/11, /*duty=*/0.3);
-  const JammerChannel same(nullptr, {2}, /*seed=*/11, /*duty=*/0.3);
+TEST(SlotJammer, DutyCycleGatesJamEpochsDeterministically) {
+  const net::Topology topo = net::testbeds::flocklab();
+  const SlotJammer jam(topo, nullptr, {2}, /*seed=*/11, /*duty=*/0.3);
+  const SlotJammer same(topo, nullptr, {2}, /*seed=*/11, /*duty=*/0.3);
+  const SimTime epoch_us = AdversaryConfig{}.jam_epoch_us;
   std::size_t active = 0;
   for (std::uint64_t e = 0; e < 400; ++e) {
     EXPECT_EQ(jam.jam_active(2, e), same.jam_active(2, e));
+    // The jammer's own radio is deaf exactly in its active epochs.
+    EXPECT_EQ(jam.is_deaf(2, static_cast<SimTime>(e) * epoch_us),
+              jam.jam_active(2, e));
     if (jam.jam_active(2, e)) ++active;
   }
   // ~120 of 400 expected; wide deterministic band.
   EXPECT_GT(active, 70u);
   EXPECT_LT(active, 180u);
+}
+
+TEST(SlotJammer, DeafSetFlipsOnJamEpochsUnderAnyChannelModel) {
+  // Node 1 jams at duty 0.5 over 10 ms epochs; node 0, 1 m away, opens
+  // a one-slot Glossy flood at t. Node 1 hears it iff it is not jamming
+  // in epoch t / 10 ms — in the static world and under LinkDynamics
+  // alike, whose 50 ms epochs must not coarsen the jam schedule.
+  net::RadioParams radio;
+  radio.shadowing_sigma_db = 0.0;
+  radio.prr_width_db = 0.1;  // a step curve: close links are perfect
+  const net::Topology topo({net::Position{0.0, 0.0}, net::Position{1.0, 0.0}},
+                           radio, 1);
+  ASSERT_EQ(topo.prr(0, 1), 1.0);
+  sim::dynamics::LinkDynamicsParams lp;
+  lp.p_good_to_bad = 0.0;  // the link stays perfect, epoch after epoch
+  lp.drift_sigma_db = 0.0;
+  const sim::dynamics::LinkDynamics links(lp);
+  ASSERT_EQ(links.epoch_us(), 50 * kMillisecond);
+  const SimTime jam_epoch_us = 10 * kMillisecond;
+  const SlotJammer jam(topo, nullptr, {1}, /*seed=*/7, /*duty=*/0.5,
+                       jam_epoch_us);
+
+  // The schedule must change inside some 50 ms link epoch for the check
+  // below to tell the two granularities apart.
+  constexpr std::uint64_t kJamEpochs = 40;
+  std::size_t inner_flips = 0;
+  for (std::uint64_t e = 1; e < kJamEpochs; ++e) {
+    if (e % 5 != 0 && jam.jam_active(1, e) != jam.jam_active(1, e - 1)) {
+      ++inner_flips;
+    }
+  }
+  ASSERT_GT(inner_flips, 0u);
+
+  for (const net::ChannelModel* model :
+       {static_cast<const net::ChannelModel*>(nullptr),
+        static_cast<const net::ChannelModel*>(&links)}) {
+    for (SimTime t = 0; t < static_cast<SimTime>(kJamEpochs) * jam_epoch_us;
+         t += jam_epoch_us / 2) {
+      ct::GlossyConfig cfg;
+      cfg.initiator = 0;
+      cfg.max_slots = 1;
+      cfg.start_time_us = t;
+      cfg.channel_model = model;
+      cfg.liveness = &jam;
+      crypto::Xoshiro256 rng(1);
+      const ct::GlossyResult flood = ct::run_glossy(topo, cfg, rng);
+      const auto epoch = static_cast<std::uint64_t>(t / jam_epoch_us);
+      EXPECT_EQ(flood.first_rx_slot[1] == 0, !jam.jam_active(1, epoch))
+          << "t " << t << (model != nullptr ? " under LinkDynamics" : "");
+    }
+  }
+}
+
+TEST(SlotJammer, RejectsOutOfRangeJammersAndBadParameters) {
+  const net::Topology topo = net::testbeds::flocklab();
+  const auto n = static_cast<NodeId>(topo.size());
+  EXPECT_THROW(SlotJammer(topo, nullptr, {n}, 1, 0.5), ContractViolation);
+  EXPECT_THROW(SlotJammer(topo, nullptr, {0}, 1, 1.5), ContractViolation);
+  EXPECT_THROW(SlotJammer(topo, nullptr, {0}, 1, -0.1), ContractViolation);
+  EXPECT_THROW(SlotJammer(topo, nullptr, {0}, 1, 0.5, 0), ContractViolation);
+}
+
+TEST(SlotJammer, RejectsJammerIdsThatWouldAliasTheJamDraw) {
+  // The jam draw is indexed by (epoch << 16) | jammer: on a sparse-tier
+  // line of 2^16 + 1 nodes, jammer 2^16 would reuse jammer 0's draws,
+  // so the decorator refuses it; 2^16 - 1 is fine.
+  std::vector<net::Position> line;
+  for (std::size_t i = 0; i <= (std::size_t{1} << 16); ++i) {
+    line.push_back(net::Position{static_cast<double>(i) * 15.0, 0.0});
+  }
+  net::TopologyOptions options;
+  options.storage = net::TopologyStorage::kSparse;
+  options.draw = net::LinkDraw::kKeyed;
+  net::RadioParams radio;
+  radio.shadowing_sigma_db = 0.0;
+  const net::Topology topo(std::move(line), radio, 1, {}, options);
+  ASSERT_EQ(topo.size(), (std::size_t{1} << 16) + 1);
+  EXPECT_NO_THROW(SlotJammer(topo, nullptr, {0xFFFF}, 1, 0.5));
+  EXPECT_THROW(SlotJammer(topo, nullptr, {0x10000}, 1, 0.5),
+               ContractViolation);
 }
 
 }  // namespace

@@ -505,8 +505,8 @@ TEST(ProtocolAdversary, JammerDegradesDeliveryAcrossTransports) {
   const net::Topology topo = make_grid9();
   const crypto::KeyStore keys(1, topo.size());
   // Center node jamming at full duty: shares through the middle of the
-  // grid are lost on every transport (the JammerChannel decorates the
-  // channel-model seam, not any one substrate).
+  // grid are lost on every transport (the SlotJammer decorates the
+  // liveness seam, not any one substrate).
   for (const std::string& name : ct::transport_names()) {
     const auto transport = ct::make_transport(name);
     ProtocolConfig cfg =
@@ -524,6 +524,72 @@ TEST(ProtocolAdversary, JammerDegradesDeliveryAcrossTransports) {
     // No crypto-layer detection for an availability attack.
     EXPECT_EQ(b.cheater_sources_mask, 0u) << name;
     EXPECT_EQ(b.shares_rejected, 0u) << name;
+  }
+}
+
+void expect_same_result(const AggregationResult& a,
+                        const AggregationResult& b, const std::string& what) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size()) << what;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const NodeOutcome& x = a.nodes[i];
+    const NodeOutcome& y = b.nodes[i];
+    EXPECT_EQ(x.has_aggregate, y.has_aggregate) << what << " node " << i;
+    EXPECT_EQ(x.aggregate_correct, y.aggregate_correct) << what;
+    EXPECT_EQ(x.aggregate, y.aggregate) << what << " node " << i;
+    EXPECT_EQ(x.sums_used, y.sums_used) << what << " node " << i;
+    EXPECT_EQ(x.contributor_mask, y.contributor_mask) << what;
+    EXPECT_EQ(x.latency_us, y.latency_us) << what << " node " << i;
+    EXPECT_EQ(x.radio_on_us, y.radio_on_us) << what << " node " << i;
+  }
+  EXPECT_EQ(a.expected_sum, b.expected_sum) << what;
+  EXPECT_EQ(a.sync_duration_us, b.sync_duration_us) << what;
+  EXPECT_EQ(a.sharing_duration_us, b.sharing_duration_us) << what;
+  EXPECT_EQ(a.reconstruction_duration_us, b.reconstruction_duration_us)
+      << what;
+  EXPECT_EQ(a.total_duration_us, b.total_duration_us) << what;
+  EXPECT_EQ(a.share_delivery_ratio, b.share_delivery_ratio) << what;
+  EXPECT_EQ(a.complete_holders, b.complete_holders) << what;
+  EXPECT_EQ(a.cheater_sources_mask, b.cheater_sources_mask) << what;
+  EXPECT_EQ(a.cheater_holders_mask, b.cheater_holders_mask) << what;
+  EXPECT_EQ(a.shares_rejected, b.shares_rejected) << what;
+  EXPECT_EQ(a.sums_rejected, b.sums_rejected) << what;
+  EXPECT_EQ(a.vss_commit_bytes, b.vss_commit_bytes) << what;
+}
+
+TEST(ProtocolAdversary, JamsTheSparseTierExactlyLikeTheDenseOne) {
+  // The jammers' deaf set is computed from static audibility on either
+  // storage tier, so a jammed round on a sparse copy of a topology is
+  // the dense round bit for bit, on every transport.
+  net::TopologyOptions sparse_options;
+  sparse_options.storage = net::TopologyStorage::kSparse;
+  sparse_options.draw = net::LinkDraw::kSequential;
+  const net::RadioParams radio;
+  const net::Topology dense = net::testbeds::grid(6, 6, 12.0, 5, radio);
+  const net::Topology sparse =
+      net::testbeds::grid(6, 6, 12.0, 5, radio, sparse_options);
+  ASSERT_FALSE(dense.sparse());
+  ASSERT_TRUE(sparse.sparse());
+  const crypto::KeyStore keys(1, dense.size());
+  const auto secrets = fixed_secrets(9);
+  for (const std::string& name : ct::transport_names()) {
+    const auto transport = ct::make_transport(name);
+    const auto config = [&](const net::Topology& topo, AttackKind kind) {
+      ProtocolConfig cfg = adversary_s4_config(topo, kind, {14, 21}, false);
+      cfg.adversary.jam_duty = 0.5;
+      return SssProtocol(topo, keys, std::move(cfg), transport.get());
+    };
+    sim::Simulator sim_dense(13);
+    sim::Simulator sim_sparse(13);
+    sim::Simulator sim_honest(13);
+    const AggregationResult a = session_round(
+        config(dense, AttackKind::kJamSlots), secrets, sim_dense);
+    const AggregationResult b = session_round(
+        config(sparse, AttackKind::kJamSlots), secrets, sim_sparse);
+    expect_same_result(a, b, name);
+    // The jam bites: the honest dense round delivers more shares.
+    const AggregationResult honest = session_round(
+        config(dense, AttackKind::kNone), secrets, sim_honest);
+    EXPECT_LT(a.share_delivery_ratio, honest.share_delivery_ratio) << name;
   }
 }
 

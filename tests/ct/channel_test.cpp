@@ -1,19 +1,13 @@
 // The channel dimension of the CT layer: configs carry a channel, the
 // engines echo it into their results, and ChannelTimeline lays
 // same-channel rounds out sequentially while distinct channels overlap.
-// Also the warm ChannelView a round context keeps across rounds.
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "common/assert.hpp"
-#include "core/adversary.hpp"
 #include "ct/glossy.hpp"
 #include "ct/minicast.hpp"
 #include "ct/transport.hpp"
-#include "net/channel_model.hpp"
 #include "net/testbeds.hpp"
-#include "sim/dynamics.hpp"
 
 namespace mpciot::ct {
 namespace {
@@ -164,52 +158,6 @@ TEST(ChannelTimeline, RejectsBadArguments) {
   EXPECT_THROW(timeline.book(2, 10), ContractViolation);
   EXPECT_THROW(timeline.channel_end_us(5), ContractViolation);
   EXPECT_THROW(ChannelTimeline(0), ContractViolation);
-}
-
-TEST(ChannelView, RebindToAReemplacedModelRematerializesTheEpoch) {
-  // A warm round context keeps its view across rounds, while each round
-  // re-creates its jammer at the same address with a fresh seed. After
-  // the rebind, a seek to the epoch the view already holds must serve
-  // the new jammer's tables — those of a fresh view — not the previous
-  // instance's overlay; over bursty links, too, where the rebind keeps
-  // the walked chain state.
-  const net::Topology topo = make_grid9();
-  const std::vector<NodeId> jammers = {4};  // the centre hears everyone
-  const sim::dynamics::LinkDynamics links(
-      sim::dynamics::LinkDynamicsParams{});
-  for (const net::ChannelModel* inner :
-       {static_cast<const net::ChannelModel*>(nullptr),
-        static_cast<const net::ChannelModel*>(&links)}) {
-    std::optional<core::JammerChannel> jammer;
-    jammer.emplace(inner, jammers, /*seed=*/1, /*duty=*/0.5);
-    const SimTime epoch_us = jammer->epoch_us();
-    // An epoch on which the two seeds disagree about the jammer.
-    const core::JammerChannel other(inner, jammers, /*seed=*/2, 0.5);
-    std::uint64_t e = 1;
-    while (jammer->jam_active(4, e) == other.jam_active(4, e)) ++e;
-    const SimTime t = static_cast<SimTime>(e) * epoch_us;
-
-    net::ChannelView view;
-    view.bind(topo, &*jammer);
-    view.seek(t);
-    jammer.emplace(inner, jammers, /*seed=*/2, 0.5);  // same address
-    view.bind(topo, &*jammer);
-    view.seek(t);
-
-    net::ChannelView fresh;
-    fresh.bind(topo, &*jammer);
-    fresh.seek(t);
-    for (NodeId r = 0; r < topo.size(); ++r) {
-      EXPECT_EQ(view.audible_words(r)[0], fresh.audible_words(r)[0])
-          << "rx " << r << " epoch " << e;
-      for (NodeId tx = 0; tx < topo.size(); ++tx) {
-        EXPECT_EQ(view.prr_into(r)[tx], fresh.prr_into(r)[tx])
-            << tx << "->" << r << " epoch " << e;
-        EXPECT_EQ(view.prr(tx, r), fresh.prr(tx, r))
-            << tx << "->" << r << " epoch " << e;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Unit tests for tools/perf_gate.py: canned google-benchmark JSON goes
-through normalize(), fastest() and compare(); no benchmark binary is
-run.
+through normalize(), fastest(), measure() and compare(); no benchmark
+binary is run.
 
 Run: python3 -B -m unittest discover -s tests/tools -p 'perf_gate_test.py'
 """
 
+import argparse
+import contextlib
+import io
+import json
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -66,6 +71,63 @@ class FastestTest(unittest.TestCase):
     def test_runs_with_different_benchmarks_are_an_error(self):
         with self.assertRaises(SystemExit):
             perf_gate.fastest([{"BM_a": 1.0}, {"BM_a": 1.0, "BM_b": 2.0}])
+
+
+class MeasureTest(unittest.TestCase):
+    """`run` and `check` share one estimator: each kernel's fastest
+    median over BASELINE_RUNS runs of the binary."""
+
+    def setUp(self):
+        self.real_run_bench = perf_gate.run_bench
+        self.addCleanup(setattr, perf_gate, "run_bench", self.real_run_bench)
+
+    def fake_runs(self, runs):
+        calls = []
+
+        def run_bench(bench_path, bench_filter=None):
+            calls.append((bench_path, bench_filter))
+            return bench_doc(runs[len(calls) - 1])
+
+        perf_gate.run_bench = run_bench
+        return calls
+
+    def test_keeps_each_kernels_fastest_median_over_the_runs(self):
+        runs = [scaled(BASE, 1.0) for _ in range(perf_gate.BASELINE_RUNS)]
+        runs[0]["BM_Kernel"] = 5_000.0
+        runs[2]["BM_Kernel"] = 900.0
+        runs[1]["BM_Round"] = 850_000.0
+        calls = self.fake_runs(runs)
+        doc = perf_gate.measure("bench", "BM_")
+        self.assertEqual(len(calls), perf_gate.BASELINE_RUNS)
+        self.assertEqual(calls[0], ("bench", "BM_"))
+        self.assertEqual(doc["benchmarks"],
+                         scaled(BASE, 1.0, BM_Kernel=900.0,
+                                BM_Round=850_000.0))
+
+    def check(self, runs):
+        """cmd_check's exit code against BASE, fed `runs`."""
+        self.fake_runs(runs)
+        with tempfile.TemporaryDirectory() as tmp:
+            baseline = Path(tmp) / "baseline.json"
+            baseline.write_text(json.dumps({"benchmarks": BASE}))
+            args = argparse.Namespace(
+                bench="bench", filter=None, baseline=str(baseline),
+                threshold=perf_gate.DEFAULT_THRESHOLD,
+                min_ns=perf_gate.DEFAULT_MIN_NS)
+            with contextlib.redirect_stdout(io.StringIO()):
+                return perf_gate.cmd_check(args)
+
+    def test_check_passes_a_kernel_slowed_in_one_run_only(self):
+        # One loaded run puts BM_Kernel at x3: a single-run check would
+        # flag it, the fastest-median check does not.
+        runs = [scaled(BASE, 1.0) for _ in range(perf_gate.BASELINE_RUNS)]
+        runs[0]["BM_Kernel"] = BASE["BM_Kernel"] * 3
+        self.assertEqual(self.check(runs), 0)
+
+    def test_check_fails_a_kernel_slowed_in_every_run(self):
+        runs = [scaled(BASE, 1.0, BM_Kernel=BASE["BM_Kernel"] * 3)
+                for _ in range(perf_gate.BASELINE_RUNS)]
+        self.assertEqual(self.check(runs), 1)
 
 
 class CompareTest(unittest.TestCase):

@@ -11,10 +11,11 @@ load average, CPU cache shapes, iteration counts) and keeps one number
 per benchmark: median-of-repetitions real time in nanoseconds. The
 committed file is therefore byte-stable in *structure*; the values are
 measurements and move with the hardware, which is why `check` applies a
-ratio threshold instead of exact comparison. `run` keeps each
+ratio threshold instead of exact comparison. Both modes keep each
 benchmark's fastest median over BASELINE_RUNS runs: load from other
 processes only ever slows a run down, so the fastest figure is the one
-closest to what the code costs on a quiet host.
+closest to what the code costs on a quiet host, and `check` compares
+the same estimator against the baseline that `run` wrote.
 
 Host portability: `BM_Calibrate` times a fixed compute kernel unrelated
 to ctagg (perfbench's calibration kernel). `check` multiplies every
@@ -92,11 +93,18 @@ def fastest(runs):
     return {name: min(r[name] for r in runs) for name in sorted(names)}
 
 
-def cmd_run(args):
-    docs = [normalize(run_bench(args.bench, args.filter))
+def measure(bench_path, bench_filter=None):
+    """BASELINE_RUNS normalized runs folded into one document whose
+    benchmarks are each kernel's fastest median."""
+    docs = [normalize(run_bench(bench_path, bench_filter))
             for _ in range(BASELINE_RUNS)]
     doc = docs[0]
     doc["benchmarks"] = fastest([d["benchmarks"] for d in docs])
+    return doc
+
+
+def cmd_run(args):
+    doc = measure(args.bench, args.filter)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=False)
         f.write("\n")
@@ -143,7 +151,7 @@ def cmd_check(args):
     with open(args.baseline) as f:
         baseline = json.load(f)
     base = baseline["benchmarks"]
-    current = normalize(run_bench(args.bench, args.filter))["benchmarks"]
+    current = measure(args.bench, args.filter)["benchmarks"]
 
     _, lines, failures, missing = compare(base, current, args.threshold,
                                           args.min_ns)
